@@ -34,6 +34,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
+from repro.campaign.store import split_entry
 from repro.errors import CampaignError, ConfigurationError
 
 #: Worker-side fault kinds, in the order schedules are drawn.
@@ -190,16 +191,16 @@ def apply_chaos(
 def corrupt_store_entry(store: Any, kind: str, digest: str) -> bool:
     """Vandalize the stored entry for (*kind*, *digest*), if present.
 
-    The damage leaves the JSON well-formed but flips the payload under
-    the recorded checksum — exactly the corruption class only the
-    checksum (not the JSON parser) can catch.  Returns True when an
-    entry was corrupted.
+    The header line is kept and the body is overwritten with well-formed
+    JSON, so the entry still passes the schema and fingerprint checks and
+    the JSON parser — exactly the corruption class only the body checksum
+    can catch.  Returns True when an entry was corrupted.
     """
     path = store.entry_path(kind, digest)
     try:
-        document = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
+        head, _ = split_entry(path.read_bytes())
+    except OSError:
         return False
-    document["payload"] = {"chaos": "vandalized payload"}
-    path.write_text(json.dumps(document, sort_keys=True) + "\n", encoding="utf-8")
+    body = json.dumps({"chaos": "vandalized payload"}, sort_keys=True) + "\n"
+    path.write_bytes(head + b"\n" + body.encode("utf-8"))
     return True

@@ -9,6 +9,12 @@ and deterministic); a reloaded run therefore carries a fresh, un-simulated
 cluster whose ``spec``/``node_count`` match the original — which is all
 the analysis layers consult.
 
+A trace is stored column-wise: each record list (states, comms, recvs,
+markers) becomes one JSON list per dataclass field, keyed by field name,
+and is rebuilt with one ``map`` over the columns instead of one call per
+record.  Columns are smaller on disk and much cheaper to parse than
+per-record lists.
+
 Floats survive the JSON round trip exactly (``repr`` round-tripping), so
 tables regenerated from a warm store are byte-identical to cold runs.
 """
@@ -16,7 +22,6 @@ tables regenerated from a warm store are byte-identical to cold runs.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import fields
 from typing import Any
 
@@ -33,7 +38,8 @@ from repro.tracing.events import (
 )
 
 #: Payload layout version (independent of the store schema).
-PAYLOAD_SCHEMA = 1
+#: v2 stores trace records as per-field columns.
+PAYLOAD_SCHEMA = 2
 
 
 class UncacheableRunError(ReproError):
@@ -44,17 +50,15 @@ class UncacheableRunError(ReproError):
     """
 
 
-def payload_checksum(payload: Any) -> str:
-    """A short content checksum of a JSON-safe payload.
+def payload_checksum(data: bytes) -> str:
+    """A short content checksum of an encoded payload's stored bytes.
 
-    The store writes this next to every entry and re-derives it on read,
-    so a flipped bit (or a hand-edited file) is detected even when the
-    damage leaves the JSON well-formed.  Canonical serialization
-    (sorted keys, no whitespace) makes the checksum independent of how
-    the document happened to be written.
+    The store writes this in every entry's header and re-derives it from
+    the body bytes on read, before parsing them, so a flipped bit (or a
+    hand-edited file) is detected even when the damage leaves the JSON
+    well-formed.
     """
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def _pack(record: Any) -> list[Any]:
@@ -65,6 +69,19 @@ def _pack(record: Any) -> list[Any]:
 def _unpack(cls: type, values: list[Any]) -> Any:
     """Rebuild a dataclass from :func:`_pack` output."""
     return cls(*values)
+
+
+def _to_columns(cls: type, records: list[Any]) -> dict[str, list[Any]]:
+    """*records* of dataclass *cls* as one value list per field."""
+    return {
+        f.name: [getattr(record, f.name) for record in records]
+        for f in fields(cls)
+    }
+
+
+def _from_columns(cls: type, columns: dict[str, list[Any]]) -> list[Any]:
+    """Rebuild the records :func:`_to_columns` stored."""
+    return list(map(cls, *(columns[f.name] for f in fields(cls))))
 
 
 def _checked(value: Any, where: str) -> Any:
@@ -118,10 +135,10 @@ def run_to_payload(run) -> dict[str, Any]:
     if trace is not None:
         payload["trace"] = {
             "n_ranks": trace.n_ranks,
-            "states": [_pack(r) for r in trace.states],
-            "comms": [_pack(r) for r in trace.comms],
-            "recvs": [_pack(r) for r in trace.recvs],
-            "markers": [_pack(r) for r in trace.markers],
+            "states": _to_columns(StateRecord, trace.states),
+            "comms": _to_columns(CommRecord, trace.comms),
+            "recvs": _to_columns(RecvRecord, trace.recvs),
+            "markers": _to_columns(MarkerRecord, trace.markers),
             "t_start": trace.t_start,
             "t_end": trace.t_end,
         }
@@ -160,10 +177,10 @@ def trace_from_payload(document: dict[str, Any] | None) -> Trace | None:
         return None
     return Trace(
         n_ranks=document["n_ranks"],
-        states=[_unpack(StateRecord, r) for r in document["states"]],
-        comms=[_unpack(CommRecord, r) for r in document["comms"]],
-        recvs=[_unpack(RecvRecord, r) for r in document["recvs"]],
-        markers=[_unpack(MarkerRecord, r) for r in document["markers"]],
+        states=_from_columns(StateRecord, document["states"]),
+        comms=_from_columns(CommRecord, document["comms"]),
+        recvs=_from_columns(RecvRecord, document["recvs"]),
+        markers=_from_columns(MarkerRecord, document["markers"]),
         t_start=document["t_start"],
         t_end=document["t_end"],
     )

@@ -1,4 +1,4 @@
-"""The persistent result store: one JSON file per cached artifact.
+"""The persistent result store: one file per cached artifact.
 
 Entries live under ``.repro-cache/`` (override with ``REPRO_CACHE_DIR``,
 disable entirely with ``REPRO_DISK_CACHE=0``) as
@@ -11,10 +11,18 @@ the code fingerprint it was written under; a lookup whose fingerprint
 differs is a miss, so editing any simulator source invalidates the whole
 store without any bookkeeping.
 
+An entry file has two parts.  Its first line is a small JSON header —
+``schema``, ``fingerprint``, ``kind``, ``digest`` and ``checksum`` — and
+the rest of the file (the *body*) is the payload JSON, encoded once with
+sorted keys.  The checksum is taken over the body's stored bytes, so a
+read never re-encodes the payload: it parses the header, rejects a wrong
+schema or stale fingerprint without touching the body, hashes the body,
+and only then parses it.
+
 The store is **advisory, never a source of errors** — and self-healing:
 
-* every payload carries a content checksum; an entry whose bytes no
-  longer match (bit rot, a torn write that survived, a hand edit) is
+* every entry carries a checksum of its body bytes; an entry whose bytes
+  no longer match (bit rot, a torn write that survived, a hand edit) is
   detected on read, deleted, and reported as a miss so the run simply
   re-executes (``corrupt_repaired`` counts the repairs);
 * :meth:`put` degrades gracefully on a full or read-only disk — one
@@ -36,8 +44,9 @@ from typing import Any
 from repro.errors import ConfigurationError
 
 #: Schema stamped into every store file; bump to orphan old layouts.
-#: v2 added the payload checksum and the digest-prefix shard layout.
-STORE_SCHEMA = 2
+#: v2 added the payload checksum and the digest-prefix shard layout;
+#: v3 split the entry into a header line and a byte-checksummed body.
+STORE_SCHEMA = 3
 
 #: Default store directory (relative to the working directory).
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -67,8 +76,14 @@ def _tmp_owner_pid(path: Path) -> int | None:
     return int(suffix) if suffix.isdigit() else None
 
 
+def split_entry(raw: bytes) -> tuple[bytes, bytes]:
+    """An entry file's header line and body (empty when there is none)."""
+    head, _, body = raw.partition(b"\n")
+    return head, body
+
+
 class ResultStore:
-    """A fingerprint-validated, checksummed JSON store with accounting."""
+    """A fingerprint-validated, checksummed file store with accounting."""
 
     def __init__(self, root: str | Path = DEFAULT_CACHE_DIR) -> None:
         self.root = Path(root)
@@ -94,10 +109,6 @@ class ResultStore:
         shard = digest[:2] if len(digest) >= 2 else "00"
         return self.root / shard / f"{kind}-{digest}.json"
 
-    def _legacy_path(self, kind: str, digest: str) -> Path:
-        """The pre-shard flat location (read-only compatibility)."""
-        return self.root / f"{kind}-{digest}.json"
-
     # -- read path -------------------------------------------------------------
 
     def _repair(self, path: Path, why: str) -> None:
@@ -112,41 +123,44 @@ class ResultStore:
     def get(self, kind: str, digest: str, fingerprint: str) -> Any | None:
         """The payload cached for (*kind*, *digest*), or None.
 
-        A missing file, unreadable JSON, schema mismatch, stale
-        fingerprint, or checksum mismatch all count as a miss — the store
-        is advisory, never a source of errors.  Corrupt entries (bad JSON
-        or bad checksum) are additionally deleted so the slot self-heals.
+        A missing file, schema mismatch, stale fingerprint, unreadable
+        header or body, or checksum mismatch all count as a miss — the
+        store is advisory, never a source of errors.  Schema and
+        fingerprint are checked from the header alone, before the body is
+        hashed or parsed.  Corrupt entries (a bad header, a bad checksum,
+        or a body that is not JSON) are additionally deleted so the slot
+        self-heals.
         """
         from repro.campaign.serialize import payload_checksum
 
         path = self.entry_path(kind, digest)
-        raw: str | None = None
-        for candidate in (path, self._legacy_path(kind, digest)):
-            try:
-                raw = candidate.read_text(encoding="utf-8")
-            except OSError:
-                continue
-            path = candidate
-            break
-        if raw is None:
+        try:
+            raw = path.read_bytes()
+        except OSError:
             self.misses += 1
             return None
+        head, body = split_entry(raw)
         try:
-            document = json.loads(raw)
-        except json.JSONDecodeError:
-            self._repair(path, "invalid JSON")
+            header = json.loads(head)
+        except ValueError:
+            self._repair(path, "invalid header")
             self.misses += 1
             return None
         if (
-            not isinstance(document, dict)
-            or document.get("schema") != STORE_SCHEMA
-            or document.get("fingerprint") != fingerprint
+            not isinstance(header, dict)
+            or header.get("schema") != STORE_SCHEMA
+            or header.get("fingerprint") != fingerprint
         ):
             self.misses += 1
             return None
-        payload = document.get("payload")
-        if document.get("checksum") != payload_checksum(payload):
+        if header.get("checksum") != payload_checksum(body):
             self._repair(path, "checksum mismatch")
+            self.misses += 1
+            return None
+        try:
+            payload = json.loads(body)
+        except ValueError:
+            self._repair(path, "invalid JSON")
             self.misses += 1
             return None
         self.hits += 1
@@ -186,20 +200,21 @@ class ResultStore:
         from repro.campaign.serialize import payload_checksum
 
         path = self.entry_path(kind, digest)
-        document = {
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        body = (text + "\n").encode("utf-8")
+        header = {
             "schema": STORE_SCHEMA,
             "fingerprint": fingerprint,
             "kind": kind,
             "digest": digest,
-            "checksum": payload_checksum(payload),
-            "payload": payload,
+            "checksum": payload_checksum(body),
         }
         tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             self._collect_stale_tmp(path.parent)
-            tmp.write_text(
-                json.dumps(document, sort_keys=True) + "\n", encoding="utf-8"
+            tmp.write_bytes(
+                json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + body
             )
             os.replace(tmp, path)
         except OSError as exc:

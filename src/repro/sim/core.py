@@ -509,19 +509,20 @@ class Environment:
         stop_event: Event | None = None
         if isinstance(until, Event):
             stop_event = until
-            if stop_event.callbacks is None:
-                return stop_event._value if stop_event._ok else None
-            done = []
-            stop_event.callbacks.append(lambda ev: done.append(ev))
-            while self._queue and not done:
-                self.step()
-            if done:
-                ev = done[0]
-                if not ev._ok:
-                    ev._defused = True
-                    raise ev._value
-                return ev._value
-            raise SimulationError("event queue drained before the until-event fired")
+            if stop_event.callbacks is not None:
+                done = []
+                stop_event.callbacks.append(lambda ev: done.append(ev))
+                while self._queue and not done:
+                    self.step()
+                if not done:
+                    raise SimulationError(
+                        "event queue drained before the until-event fired"
+                    )
+            # Pending or already processed, a failed event raises alike.
+            if not stop_event._ok:
+                stop_event._defused = True
+                raise stop_event._value
+            return stop_event._value
         if until is not None:
             stop_at = float(until)
             if stop_at < self._now:

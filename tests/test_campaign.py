@@ -6,6 +6,7 @@ bare TypeErrors on bad kwargs)."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -212,6 +213,91 @@ def test_disk_round_trip_reproduces_run_exactly():
     assert revived.trace.states == cold.trace.states
     assert revived.rank_to_node == cold.rank_to_node
     assert revived.cluster.node_count == cold.cluster.node_count
+
+
+@pytest.mark.parametrize("variant", ["traced", "no-markers", "untraced"])
+def test_store_round_trip_rebuilds_the_live_trace(tmp_path, variant):
+    spec = RunSpec.normalize(
+        "jacobi", nodes=2, traced=variant != "untraced", **JACOBI_SMALL
+    )
+    live = run_spec(spec, use_cache=False)
+    if variant == "no-markers":
+        live = dataclasses.replace(
+            live, trace=dataclasses.replace(live.trace, markers=[])
+        )
+    store = ResultStore(tmp_path / "s")
+    store.put("run", spec.digest, "fp", run_to_payload(live))
+    payload = store.get("run", spec.digest, "fp")
+    revived = run_from_payload(spec, payload)
+    assert revived.trace == live.trace  # record types and exact floats
+    if variant == "untraced":
+        assert live.trace is None and payload["trace"] is None
+        return
+    assert bool(live.trace.markers) == (variant == "traced")
+    # Records are stored column-wise, one list per field.
+    states = payload["trace"]["states"]
+    assert states["start"] == [record.start for record in live.trace.states]
+
+
+def _entry_parts(path):
+    head, _, body = path.read_bytes().partition(b"\n")
+    return head, body
+
+
+@pytest.mark.parametrize("stale", ["fingerprint", "schema"])
+def test_stale_header_is_a_plain_miss_without_reading_the_body(
+    tmp_path, monkeypatch, stale
+):
+    import repro.campaign.serialize as serialize
+
+    store = ResultStore(tmp_path / "s")
+    path = store.put("run", "abc", "fp-old", {"x": 1.25})
+    head, _ = _entry_parts(path)
+    if stale == "schema":
+        header = json.loads(head)
+        header["schema"] -= 1
+        head = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(head + b"\n\x00garbage{")
+
+    def no_hashing(data):
+        raise AssertionError("a stale entry's body was hashed")
+
+    monkeypatch.setattr(serialize, "payload_checksum", no_hashing)
+    fingerprint = "fp-new" if stale == "fingerprint" else "fp-old"
+    assert store.get("run", "abc", fingerprint) is None
+    assert store.misses == 1 and store.corrupt_repaired == 0
+    assert path.exists()  # stale is not corrupt: the file is left alone
+
+
+@pytest.mark.parametrize("damage", ["header-only", "no-newline", "truncated"])
+def test_missing_or_truncated_body_is_a_repaired_miss(tmp_path, damage):
+    store = ResultStore(tmp_path / "s")
+    path = store.put("run", "abc", "fp", {"x": [1.25] * 50})
+    head, body = _entry_parts(path)
+    damaged = {
+        "header-only": head + b"\n",
+        "no-newline": head,
+        "truncated": head + b"\n" + body[: len(body) // 2],
+    }[damage]
+    path.write_bytes(damaged)
+    assert store.get("run", "abc", "fp") is None
+    assert store.misses == 1 and store.corrupt_repaired == 1
+    assert not path.exists()
+
+
+def test_one_flipped_body_byte_is_a_repaired_miss(tmp_path, capsys):
+    store = ResultStore(tmp_path / "s")
+    path = store.put("run", "abc", "fp", {"x": 1.25})
+    head, body = _entry_parts(path)
+    # 1.25 -> 1.35: the body stays well-formed JSON; only the checksum
+    # can tell.
+    flipped = body.replace(b"2", b"3", 1)
+    assert flipped != body
+    path.write_bytes(head + b"\n" + flipped)
+    assert store.get("run", "abc", "fp") is None
+    assert store.misses == 1 and store.corrupt_repaired == 1
+    assert not path.exists()
+    assert "checksum mismatch" in capsys.readouterr().err
 
 
 def test_second_process_would_warm_start_from_disk():

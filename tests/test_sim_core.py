@@ -426,6 +426,28 @@ def test_defused_failure_does_not_resurface():
     env.run()  # nothing left to raise
 
 
+def test_run_until_already_processed_failed_event_raises():
+    env = Environment()
+
+    def boom(env):
+        yield env.timeout(1.0)
+        raise _BoomError("already processed")
+
+    def catcher(env, target):
+        try:
+            yield target
+        except _BoomError:
+            return "caught"
+
+    target = env.process(boom(env))
+    env.process(catcher(env, target))
+    env.run()  # the catcher defuses the failure; the queue drains
+    assert target.callbacks is None  # processed, not pending
+    with pytest.raises(_BoomError, match="already processed"):
+        env.run(until=target)
+    env.run()  # raising again did not re-arm the failure
+
+
 # -- Process.throw: typed exception delivery (fault injection) ------------------
 
 

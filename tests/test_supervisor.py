@@ -22,7 +22,6 @@ from repro.campaign import (
     campaign_digest,
     corrupt_store_entry,
     format_campaign_table,
-    payload_checksum,
     run_campaign,
 )
 from repro.campaign.chaos import ChaosInjectedError, apply_chaos
@@ -320,15 +319,12 @@ def test_sharded_layout_and_legacy_flat_read(tmp_path):
     store = ResultStore(tmp_path / "s")
     path = store.put("run", "abcdef", "fp", {"x": 1})
     assert path.parent.name == "ab"  # digest-prefix shard
-    # Entries written by the pre-shard layout are still readable.
-    payload = {"y": 2}
-    legacy = store._legacy_path("run", "999888")
-    legacy.write_text(json.dumps({
-        "schema": 2, "fingerprint": "fp", "kind": "run",
-        "digest": "999888", "checksum": payload_checksum(payload),
-        "payload": payload,
-    }), encoding="utf-8")
-    assert store.get("run", "999888", "fp") == {"y": 2}
+    # The flat pre-shard location is never read: even a valid entry
+    # copied there is a miss.
+    flat = store.root / "run-999888.json"
+    flat.write_bytes(path.read_bytes())
+    assert store.get("run", "999888", "fp") is None
+    assert store.misses == 1 and store.corrupt_repaired == 0
 
 
 def test_store_rejects_path_escaping_addresses(tmp_path):
