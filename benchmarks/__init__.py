@@ -40,16 +40,6 @@ that ``repro profile --check`` compares **exactly** — an unintended
 change to the event flow fails CI — and advisory wall-clock throughput
 (sim-s per wall-s, events/s, sweep runs-per-minute) recorded for
 trend-watching but never gated, since wall time is machine-dependent.
-
-Since schema 2 the document carries each workload twice: ``counts``
-measures the ground-truth DES and ``fast_counts`` the same run dispatched
-onto the ``repro.fastpath`` analytical engine.  Both sections are
-hard-gated exactly — the ``fast_counts`` fastpath-hit counters
-(``fastpath_grants``/``fastpath_transfers``) are the CI proof that the
-engine still engages, and its lower ``events`` total the proof that it
-still skips scheduling work.  The advisory block grows the matching
-fast-mode fields (``fast_wall_seconds``, ``fast_sim_seconds_per_wall_second``,
-``fast_events_per_wall_second``, ``fast_speedup``), again never gated.
 Re-run ``--bench`` and commit the diff when a PR intentionally changes
 how many events a workload schedules.  See ``docs/TELEMETRY.md`` ("Host
 profiling").

@@ -10,15 +10,8 @@ mirrors the two-clock rule:
   the ground-truth DES.  Functions of the workload alone, hard-gated
   exactly (any drift means a change altered how much work the kernel
   does, which is precisely what a perf-oriented PR needs to see).
-* ``fast_counts`` — the same fields measured with the fast-path engine
-  enabled.  Also deterministic and hard-gated: the fast-path-hit
-  counters (``fastpath_grants`` / ``fastpath_transfers``) must stay
-  nonzero for eligible workloads, and the event total must stay below
-  the DES one — a silent eligibility regression shows up here as an
-  exact-count drift.
 * ``advisory`` — wall seconds, sim-seconds per wall-second, events per
-  wall-second (both modes, plus the fast/DES speedup ratio), and sweep
-  runs per minute.  Machine-dependent; recorded for trend-reading,
+  wall-second, and sweep runs per minute.  Machine-dependent; recorded for trend-reading,
   never gated.
 
 Runs are always cold (a profiler observes real execution, not a cache
@@ -38,9 +31,9 @@ from repro.hostprof.clock import HostClock, Stopwatch
 from repro.hostprof.profiler import HostProfiler, format_hotspot_table
 
 #: Schema version stamped into every BENCH_HOST.json.
-#: v2 added the hard-gated ``fast_counts`` section and the fast-path
-#: advisory fields.
-HOST_SCHEMA = 2
+#: v3 dropped v2's second-engine counts and advisory fields with that
+#: engine: every run is the DES.
+HOST_SCHEMA = 3
 
 #: The fixed throughput set: two GPGPU codes plus one NPB CPU code, small
 #: enough to finish in CI seconds but exercising fabric + MPI + telemetry.
@@ -59,8 +52,6 @@ class ProfileRun:
     network: str
     sim_seconds: float
     profiler: HostProfiler
-    #: Whether the run was dispatched onto the fast-path engine.
-    fast_path: bool = False
 
     @property
     def wall_seconds(self) -> float:
@@ -73,7 +64,6 @@ def profile_workload(
     nodes: int = _PROFILE_NODES,
     network: str = _PROFILE_NETWORK,
     clock: HostClock | None = None,
-    fast_path: bool = False,
 ) -> ProfileRun:
     """Run *name* cold with a :class:`HostProfiler` attached.
 
@@ -101,8 +91,7 @@ def profile_workload(
     rpn = spec.ranks_per_node
     with profiler.section("run"):
         result = workload.run_on(
-            cluster, ranks_per_node=rpn, tracer=None, telemetry=telemetry,
-            fast_path=fast_path,
+            cluster, ranks_per_node=rpn, tracer=None, telemetry=telemetry
         )
     profiler.finish()
     return ProfileRun(
@@ -111,7 +100,6 @@ def profile_workload(
         network=network,
         sim_seconds=result.elapsed_seconds,
         profiler=profiler,
-        fast_path=fast_path,
     )
 
 
@@ -128,20 +116,13 @@ def collect_host_baseline(
     """
     total = Stopwatch(clock=clock)
     counts: dict[str, Any] = {}
-    fast_counts: dict[str, Any] = {}
     advisory: dict[str, Any] = {}
     runs: list[ProfileRun] = []
     for name in workloads:
         run = profile_workload(name, nodes=nodes, network=network, clock=clock)
-        fast = profile_workload(
-            name, nodes=nodes, network=network, clock=clock, fast_path=True
-        )
         runs.append(run)
-        runs.append(fast)
         counts[name] = run.profiler.deterministic_counts()
-        fast_counts[name] = fast.profiler.deterministic_counts()
         wall = run.wall_seconds
-        fast_wall = fast.wall_seconds
         advisory[name] = {
             "wall_seconds": wall,
             "sim_seconds": run.sim_seconds,
@@ -151,15 +132,6 @@ def collect_host_baseline(
             "events_per_wall_second": (
                 run.profiler.counters["events"] / wall if wall > 0 else 0.0
             ),
-            "fast_wall_seconds": fast_wall,
-            "fast_sim_seconds_per_wall_second": (
-                fast.sim_seconds / fast_wall if fast_wall > 0 else 0.0
-            ),
-            "fast_events_per_wall_second": (
-                fast.profiler.counters["events"] / fast_wall
-                if fast_wall > 0 else 0.0
-            ),
-            "fast_speedup": wall / fast_wall if fast_wall > 0 else 0.0,
         }
     elapsed = total.elapsed()
     sweep = {
@@ -169,7 +141,6 @@ def collect_host_baseline(
         "schema": HOST_SCHEMA,
         "config": {"nodes": nodes, "network": network},
         "counts": counts,
-        "fast_counts": fast_counts,
         "advisory": advisory,
         "sweep": sweep,
     }
@@ -208,35 +179,25 @@ def compare_host_baseline(
 ) -> list[str]:
     """Drifted deterministic count fields, deterministically ordered.
 
-    The ``counts`` (DES) and ``fast_counts`` (fast-path) sections both
-    participate — these are exact-match integers, and the fast section's
-    fastpath-hit counters are the CI gate proving the engine still
-    engages.  The ``advisory`` section is machine-dependent by contract
-    and never compared.
+    Only the ``counts`` section participates — exact-match integers.  The
+    ``advisory`` section is machine-dependent by contract and never
+    compared.
     """
     drifts: list[str] = []
-    for section in ("counts", "fast_counts"):
-        base_counts = baseline.get(section, {})
-        curr_counts = current.get(section, {})
-        prefix = "" if section == "counts" else "fast."
-        for workload in sorted(set(base_counts) | set(curr_counts)):
-            base_row = base_counts.get(workload)
-            curr_row = curr_counts.get(workload)
-            if base_row is None or curr_row is None:
-                state = "missing" if curr_row is None else "new"
-                drifts.append(
-                    f"{prefix}{workload}: workload {state} in current "
-                    "measurement"
-                )
-                continue
-            for field in sorted(set(base_row) | set(curr_row)):
-                expected = base_row.get(field)
-                observed = curr_row.get(field)
-                if expected != observed:
-                    drifts.append(
-                        f"{prefix}{workload}.{field}: {expected!r} -> "
-                        f"{observed!r}"
-                    )
+    base_counts = baseline.get("counts", {})
+    curr_counts = current.get("counts", {})
+    for workload in sorted(set(base_counts) | set(curr_counts)):
+        base_row = base_counts.get(workload)
+        curr_row = curr_counts.get(workload)
+        if base_row is None or curr_row is None:
+            state = "missing" if curr_row is None else "new"
+            drifts.append(f"{workload}: workload {state} in current measurement")
+            continue
+        for field in sorted(set(base_row) | set(curr_row)):
+            expected = base_row.get(field)
+            observed = curr_row.get(field)
+            if expected != observed:
+                drifts.append(f"{workload}.{field}: {expected!r} -> {observed!r}")
     return drifts
 
 
@@ -262,11 +223,8 @@ def format_host_report_markdown(runs: list[ProfileRun]) -> str:
         "deterministic for the fixed workload set."
     )
     for run in runs:
-        mode = "fast path" if run.fast_path else "full DES"
         lines.append("")
-        lines.append(
-            f"## {run.name} (nodes={run.nodes}, {run.network}, {mode})"
-        )
+        lines.append(f"## {run.name} (nodes={run.nodes}, {run.network})")
         lines.append("")
         wall = run.wall_seconds
         rate = run.sim_seconds / wall if wall > 0 else 0.0

@@ -150,6 +150,8 @@ class GpuIterativeWorkload(Workload):
 
         size, rank = ctx.size, ctx.rank
         tracer = ctx.job.tracer
+        if ctx.cuda is None:
+            raise ConfigurationError("this node has no GPU")
         manager = MemoryManager(ctx.cuda, self.memory_model)
 
         def staged(generator):

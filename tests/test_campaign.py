@@ -446,8 +446,8 @@ def _inject_opaque_rank_value(monkeypatch):
 
     real = bench_runner._simulate
 
-    def patched(spec, workload, telemetry, fast_path=None):
-        run = real(spec, workload, telemetry, fast_path)
+    def patched(spec, workload, telemetry):
+        run = real(spec, workload, telemetry)
         run.result.rank_values.append(object())
         return run
 
@@ -495,6 +495,17 @@ def test_summary_rows_match_between_live_and_serialized_paths():
     # produces byte-identical rows to the live run.
     revived = json.loads(json.dumps(payload))
     assert summarize_payload(revived) == summarize_run(run)
+
+
+def test_summarize_payload_round_trips_loopback():
+    from repro.campaign.serialize import summarize_payload
+
+    spec = RunSpec.normalize("cg", nodes=2)
+    run = run_spec(spec, use_cache=False)
+    payload = run_to_payload(run)
+    summary = summarize_payload(payload)
+    assert summary["network_bytes"] == run.result.network_bytes
+    assert payload["result"]["loopback_bytes"] == run.result.loopback_bytes
 
 
 def test_disk_revived_run_summarizes_identically():

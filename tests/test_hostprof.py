@@ -105,8 +105,6 @@ class TestHostProfiler:
             "process_switches": 1,
             "processes": 1,
             "fabric_flow_rounds": 1,
-            "fastpath_grants": 0,
-            "fastpath_transfers": 0,
             "mpi_hops": 1,
             "telemetry_spans": 1,
             "telemetry_samples": 1,
@@ -283,17 +281,15 @@ class TestHostBaseline:
         document, runs, path = _small_baseline(tmp_path)
         assert document["schema"] == HOST_SCHEMA
         assert document["config"] == {"nodes": 2, "network": "10G"}
+        assert set(document) == {"schema", "config", "counts", "advisory", "sweep"}
         assert set(document["counts"]) == {"jacobi"}
-        assert set(document["fast_counts"]) == {"jacobi"}
         assert set(document["advisory"]["jacobi"]) == {
             "wall_seconds", "sim_seconds", "sim_seconds_per_wall_second",
-            "events_per_wall_second", "fast_wall_seconds",
-            "fast_sim_seconds_per_wall_second", "fast_events_per_wall_second",
-            "fast_speedup",
+            "events_per_wall_second",
         }
         assert document["sweep"]["runs_per_minute"] > 0
-        # One DES run and one fast-path run per workload.
-        assert [run.fast_path for run in runs] == [False, True]
+        # One run per workload.
+        assert [run.name for run in runs] == ["jacobi"]
 
     def test_write_load_round_trip(self, tmp_path):
         document, _, path = _small_baseline(tmp_path)
@@ -349,8 +345,7 @@ class TestHostBaseline:
         _, runs, _ = _small_baseline(tmp_path)
         report = format_host_report_markdown(runs)
         assert report.startswith("# Host profile")
-        assert "## jacobi (nodes=2, 10G, full DES)" in report
-        assert "## jacobi (nodes=2, 10G, fast path)" in report
+        assert report.count("## jacobi (nodes=2, 10G)") == 1
         assert "subsystem" in report
 
     def test_profile_workload_set_is_fixed(self):

@@ -258,6 +258,13 @@ def test_npb_runs_on_thunderx():
     assert result.network_bytes == 0.0  # everything is intra-node
 
 
+@pytest.mark.parametrize("name", ("jacobi", "cloverleaf", "tealeaf2d", "tealeaf3d"))
+def test_gpu_iterative_workload_on_gpu_less_node_names_the_missing_gpu(name):
+    cluster = Cluster(thunderx_cluster_spec())
+    with pytest.raises(ConfigurationError, match="no GPU"):
+        gpgpu_workload(name).run_on(cluster)
+
+
 def test_ft_is_network_hungry():
     """ft moves far more bytes than bt at the same scale (Fig. 6 driver)."""
     ft, _ = run(npb_workload("ft"), nodes=2)
