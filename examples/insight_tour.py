@@ -28,7 +28,7 @@ from repro.telemetry import Telemetry
 
 def main() -> None:
     # 1. Capture: one sink + tracer records the whole run.  Telemetry runs
-    #    bypass the memoization cache (the sink accumulates one timeline).
+    #    bypass the result store (the sink accumulates one timeline).
     telemetry = Telemetry(sample_interval=0.0)
     run = run_workload("cloverleaf", nodes=4, network="10G",
                        traced=True, use_cache=False, telemetry=telemetry)

@@ -3,33 +3,35 @@
 ``run_workload`` is the single funnel every figure, bench, and fault
 experiment measures through.  Requests are normalized to a
 :class:`~repro.campaign.spec.RunSpec` (defaults resolved, ignored
-dimensions canonicalized — see ``docs/CAMPAIGN.md``) and served from a
-two-tier cache:
+dimensions canonicalized — see ``docs/CAMPAIGN.md``) and served from the
+one run cache: the persistent :class:`~repro.campaign.store.ResultStore`
+under ``.repro-cache/``, invalidated by the package source fingerprint, so
+a repeat request, a second invocation or a campaign worker warm-starts
+instead of re-simulating.
 
-* an in-process memo of live :class:`ExperimentRun` objects, and
-* the persistent :class:`~repro.campaign.store.ResultStore` under
-  ``.repro-cache/``, invalidated by the package source fingerprint, so a
-  second invocation (or a campaign worker) warm-starts instead of
-  re-simulating.
-
-Cache hits return a **defensive snapshot**: a fresh cluster shell rebuilt
-from the spec plus copied result/trace payloads, so no two callers share
-mutable state (the workload object is shared and must be treated as
-read-only).  The simulator is deterministic and floats survive the JSON
-round trip exactly, so a warm-started run is bit-identical to a cold one.
-A miss is simulated by the discrete-event kernel, the only engine.
+A hit is revived with :func:`~repro.campaign.serialize.run_from_payload`,
+which builds a fresh workload, cluster, result and trace on every call; a
+miss is simulated by the discrete-event kernel (the only engine),
+published, and returned live.  Either way the caller is the run's only
+owner, so no two callers share mutable state.  The simulator is
+deterministic and floats survive the JSON round trip exactly, so a
+warm-started run is bit-identical to a cold one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
+from repro.campaign.serialize import (
+    UncacheableRunError,
+    run_from_payload,
+    run_to_payload,
+)
 from repro.campaign.spec import RunSpec, build_cluster, build_workload
 from repro.campaign.store import default_store
 from repro.cluster import Cluster
 from repro.cluster.job import JobResult
-from repro.cuda.events import Profiler
 from repro.tracing import Trace, Tracer
 from repro.workloads.base import Workload
 
@@ -55,82 +57,23 @@ class ExperimentRun:
         return self.result.elapsed_seconds
 
 
-_cache: dict[tuple, tuple[RunSpec, ExperimentRun]] = {}
-_stats = {"memory_hits": 0, "memory_misses": 0, "disk_hits": 0, "disk_misses": 0}
-
-
-def clear_cache() -> None:
-    """Drop memoized runs and reset the in-process cache statistics.
-
-    (Each run is deterministic, so caching is safe; the persistent store
-    is managed separately — see :mod:`repro.campaign.store`.)
-    """
-    _cache.clear()
-    for key in _stats:
-        _stats[key] = 0
-
-
 def cache_stats() -> dict[str, int]:
-    """A copy of the in-process cache counters (memory and disk tiers)."""
-    return dict(_stats)
+    """Run-cache counters, derived from the default store's lookups.
 
-
-def _copy_result(result: JobResult) -> JobResult:
-    """A structurally independent copy of a job result.
-
-    Record objects (kernel/copy/trace entries) are frozen dataclasses and
-    safe to share; every mutable container and accumulator is duplicated.
+    The store is the only cache, so ``memory_hits`` is always 0 and
+    ``memory_misses`` counts the lookups served (every counter is 0 while
+    the store is disabled).  The benchmark (``perfbench/worker.py`` and
+    ``perfbench/run.py``) reads all four keys; drop the ``memory_*`` pair
+    together with :func:`_resolve_fast_path` at the next benchmark change.
     """
-    return JobResult(
-        elapsed_seconds=result.elapsed_seconds,
-        energy=replace(result.energy),
-        rank_values=list(result.rank_values),
-        counters=[replace(c) for c in result.counters],
-        comm_seconds=list(result.comm_seconds),
-        network_bytes=result.network_bytes,
-        gpu_dram_bytes=result.gpu_dram_bytes,
-        gpu_flops=result.gpu_flops,
-        cpu_flops=result.cpu_flops,
-        gpu_profilers=[
-            Profiler(kernels=list(p.kernels), copies=list(p.copies))
-            for p in result.gpu_profilers
-        ],
-        failures=dict(result.failures),
-        comm_retries=result.comm_retries,
-        loopback_bytes=result.loopback_bytes,
-    )
-
-
-def _copy_trace(trace: Trace | None) -> Trace | None:
-    if trace is None:
-        return None
-    return Trace(
-        n_ranks=trace.n_ranks,
-        states=list(trace.states),
-        comms=list(trace.comms),
-        recvs=list(trace.recvs),
-        markers=list(trace.markers),
-        t_start=trace.t_start,
-        t_end=trace.t_end,
-    )
-
-
-def _snapshot(spec: RunSpec, run: ExperimentRun) -> ExperimentRun:
-    """A defensively copied view of a cached run.
-
-    The cluster is rebuilt fresh from the spec (consumers read only its
-    ``spec``/``node_count``/hardware description; per-run state such as
-    wire totals lives in the result), so a caller crashing nodes or
-    appending trace records cannot corrupt other cache consumers.
-    """
-    return ExperimentRun(
-        workload=run.workload,
-        cluster=build_cluster(spec),
-        result=_copy_result(run.result),
-        trace=_copy_trace(run.trace),
-        rank_to_node=list(run.rank_to_node),
-        telemetry=None,
-    )
+    store = default_store()
+    hits, misses = (store.hits, store.misses) if store is not None else (0, 0)
+    return {
+        "memory_hits": 0,
+        "memory_misses": hits + misses,
+        "disk_hits": hits,
+        "disk_misses": misses,
+    }
 
 
 def _resolve_fast_path(fast_path: bool | None) -> bool:
@@ -143,19 +86,17 @@ def _resolve_fast_path(fast_path: bool | None) -> bool:
     return False
 
 
-def _simulate(
-    spec: RunSpec,
-    workload: Workload,
-    telemetry: Any,
-) -> ExperimentRun:
-    """One cold measurement of *spec* (no caches involved).
+def _simulate(spec: RunSpec, telemetry: Any) -> ExperimentRun:
+    """One cold measurement of *spec* (no cache involved).
 
-    Every simulation goes through :meth:`Workload.run_on` on a freshly
-    built cluster, so a profiler or meter that wraps ``run_on`` sees each
-    one.  A traced spec gets a :class:`Tracer` sized to the job, and its
+    The workload is rebuilt from the spec's canonical kwargs, and every
+    simulation goes through :meth:`Workload.run_on` on a freshly built
+    cluster, so a profiler or meter that wraps ``run_on`` sees each one.
+    A traced spec gets a :class:`Tracer` sized to the job, and its
     finalized trace becomes the run's trace; a telemetry sink, when one is
     passed, is kept on the run.
     """
+    workload = build_workload(spec.name, spec.constructor_kwargs())
     cluster = build_cluster(spec)
     rpn = spec.ranks_per_node
     tracer = Tracer(cluster.node_count * rpn) if spec.traced else None
@@ -172,54 +113,32 @@ def _simulate(
     )
 
 
-def _run_cached(spec: RunSpec, workload: Workload) -> ExperimentRun:
-    """Serve *spec* through both cache tiers, simulating on a full miss."""
-    from repro.campaign.serialize import (
-        UncacheableRunError,
-        run_from_payload,
-        run_to_payload,
-    )
-
-    cached = _cache.get(spec.key)
-    if cached is not None:
-        _stats["memory_hits"] += 1
-        return _snapshot(spec, cached[1])
-    _stats["memory_misses"] += 1
-    store = default_store()
-    if store is not None and spec.revivable:
-        payload = store.get("run", spec.digest, spec.fingerprint)
-        if payload is not None:
-            _stats["disk_hits"] += 1
-            run = run_from_payload(spec, payload)
-            _cache[spec.key] = (spec, run)
-            return _snapshot(spec, run)
-        _stats["disk_misses"] += 1
-    run = _simulate(spec, workload, None)
-    _cache[spec.key] = (spec, run)
-    if store is not None and spec.revivable:
-        try:
-            store.put("run", spec.digest, spec.fingerprint, run_to_payload(run))
-        except UncacheableRunError:
-            pass  # ad-hoc rank return values: memory tier only
-    return _snapshot(spec, run)
-
-
 def run_spec(
     spec: RunSpec,
     use_cache: bool = True,
     telemetry: Any = None,
 ) -> ExperimentRun:
-    """Run a normalized :class:`RunSpec` (the campaign workers' entry point).
+    """Run a normalized :class:`RunSpec`, served through the result store.
 
-    The workload is rebuilt from the spec's canonical kwargs, so the spec
-    must be revivable (specs normalized from plain values always are).
+    A sink is stateful (it accumulates one timeline), so a run recording
+    into an enabled :class:`~repro.telemetry.Telemetry` sink always
+    simulates and bypasses the store, as does ``use_cache=False``.  A run
+    whose rank values cannot be serialized simulates on every request.
     """
-    workload = build_workload(spec.name, spec.constructor_kwargs())
-    if telemetry is not None and getattr(telemetry, "enabled", False):
-        return _simulate(spec, workload, telemetry)
-    if not use_cache:
-        return _simulate(spec, workload, None)
-    return _run_cached(spec, workload)
+    if telemetry is not None and not getattr(telemetry, "enabled", False):
+        telemetry = None
+    store = default_store() if use_cache and telemetry is None else None
+    if store is not None:
+        payload = store.get("run", spec.digest, spec.fingerprint)
+        if payload is not None:
+            return run_from_payload(spec, payload)
+    run = _simulate(spec, telemetry)
+    if store is not None:
+        try:
+            store.put("run", spec.digest, spec.fingerprint, run_to_payload(run))
+        except UncacheableRunError:
+            pass  # ad-hoc rank return values: nothing to publish
+    return run
 
 
 def run_workload(
@@ -237,12 +156,9 @@ def run_workload(
 
     ``system`` selects the machine: ``"tx1"`` (the proposed cluster),
     ``"gtx980"`` (discrete-GPGPU hosts), or ``"thunderx"`` (the Cavium
-    server; *nodes* is ignored, 64 ranks as in §IV-A).
-
-    Passing a :class:`~repro.telemetry.Telemetry` sink records the run; a
-    sink is stateful (it accumulates one timeline), so such runs always
-    bypass both cache tiers.  ``use_cache=False`` also bypasses both tiers
-    and returns a run this caller exclusively owns.
+    server; *nodes* is ignored, 64 ranks as in §IV-A).  The request is
+    normalized and served by :func:`run_spec`; *use_cache* and *telemetry*
+    behave as documented there.
     """
     spec = RunSpec.normalize(
         name,
@@ -253,9 +169,4 @@ def run_workload(
         traced=traced,
         **workload_kwargs,
     )
-    workload = build_workload(name, workload_kwargs)
-    if telemetry is not None and getattr(telemetry, "enabled", False):
-        return _simulate(spec, workload, telemetry)
-    if not use_cache:
-        return _simulate(spec, workload, None)
-    return _run_cached(spec, workload)
+    return run_spec(spec, use_cache=use_cache, telemetry=telemetry)

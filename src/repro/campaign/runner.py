@@ -434,9 +434,7 @@ def run_campaign(
 
     ``store`` defaults to the process-wide persistent store (pass ``None``
     to run storeless).  With ``jobs > 1`` cold specs are sharded across a
-    process pool; results always merge in spec order.  Non-revivable specs
-    (enum-valued kwargs) cannot cross a process boundary and are executed
-    in-process regardless of *jobs*.
+    process pool; results always merge in spec order.
 
     Supervision: failed attempts are retried up to *retries* times with
     seeded exponential backoff; a spec that keeps failing is quarantined

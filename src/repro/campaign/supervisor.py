@@ -630,14 +630,11 @@ class CampaignSupervisor:
 
     def run(self) -> dict[str, SpecRecord]:
         """Drive every spec to a terminal record (never raises per-spec)."""
-        shardable = [s for s in self.specs if s.revivable]
-        local = [s for s in self.specs if not s.revivable]
-        if self.jobs > 1 and len(shardable) > 1:
-            self._run_pool(shardable)
+        if self.jobs > 1 and len(self.specs) > 1:
+            self._run_pool(self.specs)
         else:
-            local = shardable + local
-        for spec in local:
-            self._execute_serial(spec)
+            for spec in self.specs:
+                self._execute_serial(spec)
         missing = [s for s in self.specs if s.digest not in self.records]
         for spec in missing:  # defensive: nothing may end undecided
             self._finalize(SpecRecord(

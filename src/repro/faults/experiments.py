@@ -124,10 +124,10 @@ def run_degraded(
 ) -> FaultExperimentReport:
     """Measure benchmark *name* clean and under *schedule*, with restarts.
 
-    The *clean* baseline goes through ``run_workload``'s two-tier result
-    cache (set ``use_cache=False`` to force a fresh measurement), so
-    repeated fault studies over one benchmark warm-start the undamaged
-    half from ``.repro-cache/``; degraded attempts are always simulated —
+    The *clean* baseline goes through ``run_workload``'s result store
+    (set ``use_cache=False`` to force a fresh measurement), so repeated
+    fault studies over one benchmark warm-start the undamaged half from
+    ``.repro-cache/``; degraded attempts are always simulated —
     fault injection mutates the cluster and is never cached.
 
     Each failed attempt's elapsed time is wasted (it counts toward the

@@ -94,11 +94,19 @@ class GpuIterativeWorkload(Workload):
 
     def __init__(
         self,
-        memory_model: MemoryModel | None = None,
+        memory_model: MemoryModel | str | None = None,
         gpudirect: bool = False,
     ) -> None:
         if memory_model is not None:
-            self.memory_model = memory_model
+            # The canonical string (what a RunSpec or campaign file carries)
+            # names the same model as the enum.
+            try:
+                self.memory_model = MemoryModel(memory_model)
+            except ValueError:
+                raise ConfigurationError(
+                    f"unknown memory_model {memory_model!r}; known models: "
+                    f"{', '.join(model.value for model in MemoryModel)}"
+                ) from None
         self.gpudirect = gpudirect
 
     # Per-rank geometry hooks -------------------------------------------------

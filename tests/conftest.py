@@ -25,6 +25,12 @@ def build_tx1_fabric(n_nodes: int, nic=None, switch=None):
 
 
 @pytest.fixture
+def fresh_store(tmp_path, monkeypatch):
+    """A private, empty result store for one test."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+
+
+@pytest.fixture
 def tx1_pair():
     """Two TX1 nodes on a 10 GbE fabric."""
     return build_tx1_fabric(2)

@@ -4,7 +4,7 @@ table formatting, and the cheap experiment functions end to end."""
 import pytest
 
 from repro.bench import calibration, experiments as ex, tables
-from repro.bench.runner import CLUSTER_SIZES, clear_cache, run_workload
+from repro.bench.runner import CLUSTER_SIZES, cache_stats, run_workload
 from repro.core import LimitingFactor
 
 
@@ -27,31 +27,29 @@ def test_run_workload_traced():
     assert run.trace.total_network_bytes() > 0
 
 
-def test_run_workload_cache_hits():
-    from repro.bench.runner import cache_stats
-
-    clear_cache()
+def test_run_workload_cache_hits(fresh_store):
     first = run_workload("jacobi", nodes=2)
     second = run_workload("jacobi", nodes=2)
-    # Cache hits hand out defensive snapshots, never a shared object ...
+    # A store hit is revived fresh, never a shared object ...
     assert first is not second
     assert first.result is not second.result
     # ... but the measurements are bit-identical and the hit was counted.
     assert first.result.elapsed_seconds == second.result.elapsed_seconds
-    assert cache_stats()["memory_hits"] == 1
+    assert cache_stats()["disk_hits"] == 1
     third = run_workload("jacobi", nodes=2, use_cache=False)
     assert third is not first
-    assert cache_stats()["memory_hits"] == 1  # bypass did not touch the cache
-    clear_cache()
+    # The bypass did not touch the store.
+    assert cache_stats() == {
+        "memory_hits": 0, "memory_misses": 2, "disk_hits": 1, "disk_misses": 1,
+    }
 
 
-def test_run_workload_kwargs_affect_cache_key():
-    clear_cache()
+def test_run_workload_kwargs_affect_cache_key(fresh_store):
     a = run_workload("jacobi", nodes=2, iterations=5)
     b = run_workload("jacobi", nodes=2, iterations=6)
     assert a is not b
     assert a.result.gpu_flops < b.result.gpu_flops
-    clear_cache()
+    assert cache_stats()["disk_misses"] == 2
 
 
 def test_run_workload_systems():

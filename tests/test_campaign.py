@@ -1,5 +1,5 @@
-"""Tests for repro.campaign: RunSpec normalization, the two-tier result
-cache, and the parallel campaign runner — including regression tests for
+"""Tests for repro.campaign: RunSpec normalization, the result store (the
+one run cache), and the parallel campaign runner — including regression tests for
 the four historical ``run_workload`` cache bugs (key aliasing on resolved
 defaults, thunderx phantom dimensions, shared mutable cached state, and
 bare TypeErrors on bad kwargs)."""
@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.bench.runner import cache_stats, clear_cache, run_spec, run_workload
+from repro.bench.runner import cache_stats, run_spec, run_workload
 from repro.campaign import (
     ResultStore,
     RunSpec,
@@ -19,6 +19,7 @@ from repro.campaign import (
     format_campaign_stats,
     format_campaign_table,
     load_campaign_file,
+    reset_default_store,
     run_campaign,
 )
 from repro.campaign.serialize import run_from_payload, run_to_payload
@@ -28,13 +29,7 @@ from repro.errors import ConfigurationError
 JACOBI_SMALL = {"n": 64, "iterations": 2}
 
 
-@pytest.fixture(autouse=True)
-def _fresh_caches(tmp_path, monkeypatch):
-    """Every test gets an empty memory tier and its own store directory."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
-    clear_cache()
-    yield
-    clear_cache()
+pytestmark = pytest.mark.usefixtures("fresh_store")
 
 
 # -- RunSpec normalization (bugfixes 1, 2, 4) -------------------------------------
@@ -68,7 +63,7 @@ def test_run_workload_defaults_share_one_cache_entry():
         "jacobi", nodes=2, network="10G", system="tx1", ranks_per_node=None,
         traced=False, memory_model=None, gpudirect=False, **JACOBI_SMALL,
     )
-    assert cache_stats()["memory_hits"] == 1
+    assert cache_stats()["disk_hits"] == 1
 
 
 def test_thunderx_phantom_dimensions_fixed():
@@ -87,7 +82,7 @@ def test_thunderx_phantom_dimensions_fixed():
 def test_thunderx_one_simulation_for_all_shapes():
     run_workload("ep", system="thunderx", nodes=2, network="1G")
     run_workload("ep", system="thunderx", nodes=16, network="10G")
-    assert cache_stats()["memory_hits"] == 1
+    assert cache_stats()["disk_hits"] == 1
 
 
 def test_gtx980_network_canonicalized():
@@ -139,11 +134,18 @@ def test_invalid_nodes_and_rpn_rejected():
         RunSpec.normalize("jacobi", ranks_per_node=-1)
 
 
-def test_enum_kwargs_are_memory_tier_only():
-    spec = RunSpec.normalize("jacobi", nodes=2, memory_model=MemoryModel.ZERO_COPY)
-    assert not spec.revivable
-    with pytest.raises(ConfigurationError, match="non-revivable"):
-        spec.constructor_kwargs()
+def test_enum_kwargs_rebuild_the_workload_and_hit_the_store():
+    from repro.campaign.spec import build_workload
+
+    spec = RunSpec.normalize(
+        "jacobi", nodes=2, memory_model=MemoryModel.ZERO_COPY, **JACOBI_SMALL
+    )
+    rebuilt = build_workload(spec.name, spec.constructor_kwargs())
+    assert rebuilt.memory_model is MemoryModel.ZERO_COPY
+    run_spec(spec)
+    second = run_spec(spec)
+    assert cache_stats()["disk_hits"] == 1
+    assert second.workload.memory_model is MemoryModel.ZERO_COPY
 
 
 def test_spec_wire_round_trip_preserves_digest():
@@ -157,25 +159,40 @@ def test_spec_wire_round_trip_preserves_digest():
 # -- shared mutable state (bugfix 3) ----------------------------------------------
 
 
+def _vandalize(run):
+    """Mutate everything a caller could reach on a returned run."""
+    run.result.rank_values.clear()
+    run.result.counters.clear()
+    run.result.failures[0] = "vandalized"
+    run.trace.comms.clear()
+    run.trace.states.clear()
+    run.rank_to_node.append(99)
+    run.cluster.nodes[1].fail()
+
+
 def test_cached_runs_do_not_share_mutable_state():
-    first = run_workload("jacobi", nodes=2, traced=True, **JACOBI_SMALL)
-    # Vandalize everything mutable on the first handle.
-    first.result.rank_values.clear()
-    first.result.counters.clear()
-    first.result.failures[0] = "vandalized"
-    first.trace.states.clear()
-    first.rank_to_node.append(99)
-    second = run_workload("jacobi", nodes=2, traced=True, **JACOBI_SMALL)
-    assert second.result.rank_values
-    assert second.result.counters
-    assert not second.result.failures
-    assert second.trace.states
-    assert second.rank_to_node == [0, 1]
+    # A run served from the store is rebuilt from its payload on every
+    # request, and a simulated one is handed to its caller alone, so
+    # vandalizing a returned run cannot reach the next caller.
+    spec = RunSpec.normalize("jacobi", nodes=2, traced=True, **JACOBI_SMALL)
+    untouched = run_to_payload(run_spec(spec, use_cache=False))
+    missed = run_spec(spec)
+    _vandalize(missed)
+    hit = run_spec(spec)
+    assert run_to_payload(hit) == untouched
+    _vandalize(hit)
+    again = run_spec(spec)
+    assert run_to_payload(again) == untouched
+    assert cache_stats()["disk_misses"] == 1
+    assert cache_stats()["disk_hits"] == 2
+    assert again.cluster is not hit.cluster and again.cluster is not missed.cluster
+    assert not any(node.failed for node in again.cluster.nodes)
 
 
 def test_cached_runs_get_fresh_clusters():
     first = run_workload("jacobi", nodes=2, **JACOBI_SMALL)
     second = run_workload("jacobi", nodes=2, **JACOBI_SMALL)
+    assert cache_stats()["disk_hits"] == 1
     assert first.cluster is not second.cluster
     assert second.cluster.node_count == 2
 
@@ -302,19 +319,19 @@ def test_one_flipped_body_byte_is_a_repaired_miss(tmp_path, capsys):
 
 def test_second_process_would_warm_start_from_disk():
     run_workload("jacobi", nodes=2, **JACOBI_SMALL)
-    clear_cache()  # simulate a fresh process: memory tier gone, disk warm
+    reset_default_store()  # simulate a fresh process: new counters, disk warm
     run_workload("jacobi", nodes=2, **JACOBI_SMALL)
-    stats = cache_stats()
-    assert stats["disk_hits"] == 1
-    assert stats["memory_hits"] == 0
+    assert cache_stats() == {
+        "memory_hits": 0, "memory_misses": 1, "disk_hits": 1, "disk_misses": 0,
+    }
 
 
-def test_disk_cache_disabled_by_env(monkeypatch):
+def test_disk_cache_disabled_by_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_DISK_CACHE", "0")
     run_workload("jacobi", nodes=2, **JACOBI_SMALL)
-    clear_cache()
     run_workload("jacobi", nodes=2, **JACOBI_SMALL)
     assert cache_stats()["disk_hits"] == 0
+    assert not (tmp_path / "store").exists()
 
 
 # -- campaigns --------------------------------------------------------------------
@@ -441,48 +458,55 @@ def test_cli_sweep_rejects_conflicting_sources(tmp_path, capsys):
 
 
 def _inject_opaque_rank_value(monkeypatch):
-    """Make every simulation return a rank value JSON cannot represent."""
+    """Make every simulation return a rank value JSON cannot represent.
+
+    Returns the list of specs simulated so far.
+    """
     import repro.bench.runner as bench_runner
 
     real = bench_runner._simulate
+    simulated = []
 
-    def patched(spec, workload, telemetry):
-        run = real(spec, workload, telemetry)
+    def patched(spec, telemetry):
+        simulated.append(spec)
+        run = real(spec, telemetry)
         run.result.rank_values.append(object())
         return run
 
     monkeypatch.setattr(bench_runner, "_simulate", patched)
+    return simulated
 
 
-def test_uncacheable_rank_values_fall_back_to_memory_tier(monkeypatch):
+def test_uncacheable_rank_values_resimulate_on_every_request(monkeypatch):
     import os
     from pathlib import Path
 
     from repro.campaign.serialize import UncacheableRunError
 
-    _inject_opaque_rank_value(monkeypatch)
+    simulated = _inject_opaque_rank_value(monkeypatch)
     spec = RunSpec.normalize("jacobi", nodes=2, **JACOBI_SMALL)
     first = run_spec(spec)
     with pytest.raises(UncacheableRunError, match="rank_values"):
         run_to_payload(first)
-    # The failed disk put must not leave a partial entry behind: a later
-    # process would otherwise revive a half-written run.
+    # The failed put must not leave a partial entry behind: a later
+    # request would otherwise revive a half-written run.
     store_root = Path(os.environ["REPRO_CACHE_DIR"])
     assert not list(store_root.rglob("run-*.json"))
     second = run_spec(spec)
-    assert cache_stats()["memory_hits"] == 1  # served from the memory tier
+    assert len(simulated) == 2  # nothing to serve it from: simulated again
+    assert cache_stats()["disk_hits"] == 0
     assert second.result.elapsed_seconds == first.result.elapsed_seconds
 
 
 def test_uncacheable_runs_still_summarize_identically(monkeypatch):
     from repro.campaign.serialize import summarize_run
 
-    _inject_opaque_rank_value(monkeypatch)
+    simulated = _inject_opaque_rank_value(monkeypatch)
     spec = RunSpec.normalize("jacobi", nodes=2, **JACOBI_SMALL)
     cold = summarize_run(run_spec(spec))
-    warm = summarize_run(run_spec(spec))  # memory-tier hit
+    warm = summarize_run(run_spec(spec))  # simulated again
     assert warm == cold  # same dict, bit for bit — table rows match
-    assert cache_stats()["memory_hits"] == 1
+    assert len(simulated) == 2
 
 
 def test_summary_rows_match_between_live_and_serialized_paths():
@@ -513,7 +537,6 @@ def test_disk_revived_run_summarizes_identically():
 
     cold = run_workload("jacobi", nodes=2, **JACOBI_SMALL)
     cold_row = summarize_run(cold)
-    clear_cache()  # drop the memory tier; keep the disk store
     warm = run_workload("jacobi", nodes=2, **JACOBI_SMALL)
     assert cache_stats()["disk_hits"] == 1
     assert summarize_run(warm) == cold_row

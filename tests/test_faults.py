@@ -13,7 +13,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.bench.runner import clear_cache
 from repro.cli import main
 from repro.cluster import Cluster
 from repro.cluster.cluster import tx1_cluster_spec
@@ -43,7 +42,6 @@ def small_jacobi():
 
 
 def run_small(faults=None, nodes=2, **job_kwargs):
-    clear_cache()
     cluster = Cluster(tx1_cluster_spec(nodes, "10G"))
     result = small_jacobi().run_on(cluster, faults=faults, **job_kwargs)
     return cluster, result
@@ -409,13 +407,11 @@ def test_bad_on_fault_rejected():
 # -- resilience experiments ---------------------------------------------------
 
 
-def test_run_degraded_restarts_after_crash():
-    clear_cache()
+def test_run_degraded_restarts_after_crash(fresh_store):
     probe = fx.run_workload("jacobi", nodes=2, n=256, iterations=4)
     schedule = FaultSchedule([
         NodeCrash(node_id=1, at=0.5 * probe.runtime),
     ])
-    clear_cache()
     report = fx.run_degraded(
         "jacobi", schedule, nodes=2,
         retry=RetryPolicy(timeout=probe.runtime / 4, backoff_base=1e-5),
@@ -433,8 +429,7 @@ def test_run_degraded_restarts_after_crash():
     assert "attempt 2" in text and "excluded nodes" in text
 
 
-def test_run_degraded_reports_effective_ceiling():
-    clear_cache()
+def test_run_degraded_reports_effective_ceiling(fresh_store):
     schedule = FaultSchedule([
         NicDegradation(node_id=0, start=0.0, end=1e9, multiplier=0.5),
     ])
@@ -456,8 +451,7 @@ def test_demo_schedule_needs_two_nodes():
 # -- CLI ----------------------------------------------------------------------
 
 
-def test_cli_faults_demo(capsys):
-    clear_cache()
+def test_cli_faults_demo(capsys, fresh_store):
     assert main(["faults", "--demo", "--nodes", "2"]) == 0
     out = capsys.readouterr().out
     assert "Resilience report" in out
@@ -469,8 +463,7 @@ def test_cli_faults_requires_demo_or_schedule(capsys):
     assert "--demo or --schedule" in capsys.readouterr().err
 
 
-def test_cli_faults_schedule_file(tmp_path, capsys):
-    clear_cache()
+def test_cli_faults_schedule_file(tmp_path, capsys, fresh_store):
     schedule = FaultSchedule([
         NicDegradation(node_id=0, start=0.0, end=1e9, multiplier=0.5),
     ])

@@ -148,3 +148,122 @@ def test_allof_anyof_bracketing(delays):
     env.run()
     assert abs(stamps["any"] - min(delays)) < 1e-9
     assert abs(stamps["all"] - max(delays)) < 1e-9
+
+
+# -- random process graphs ---------------------------------------------------------
+#
+# A graph is a list of processes, each a list of steps over a few shared
+# events: sleep, wait on a shared event, succeed or fail one, or wait on an
+# all_of / any_of mixing shared events with a timeout.  Failures are
+# delivered as ``Boom`` and caught where they land; a process may also end
+# by raising.  Watchers wait on every shared event and every process, so
+# no failure goes unhandled.
+
+N_SHARED = 4
+
+
+class Boom(Exception):
+    """The failure shared events and raising processes carry."""
+
+
+_shared_index = st.integers(min_value=0, max_value=N_SHARED - 1)
+_delay = st.integers(min_value=0, max_value=3).map(float)  # ties are common
+_step = st.one_of(
+    st.tuples(st.just("sleep"), _delay),
+    st.tuples(st.just("wait"), _shared_index),
+    st.tuples(st.just("trigger"), _shared_index, st.booleans()),
+    st.tuples(st.sampled_from(["all", "any"]),
+              st.lists(_shared_index, max_size=3), _delay),
+)
+_graph = st.lists(
+    st.tuples(st.lists(_step, max_size=6), st.booleans()),
+    min_size=1, max_size=6,
+)
+
+
+class _DispatchCountingEnv(Environment):
+    """Counts how often each event is popped and its callbacks run."""
+
+    def __init__(self):
+        super().__init__()
+        self.dispatched = {}
+
+    def step(self):
+        event = self._queue[0][3]
+        self.dispatched[event] = self.dispatched.get(event, 0) + 1
+        super().step()
+
+
+def _run_graph(graph):
+    """Run *graph*; returns (env, every process, callback counts by event)."""
+    env = _DispatchCountingEnv()
+    shared = [env.event() for _ in range(N_SHARED)]
+    fired = {}
+
+    def watched(event):
+        # Count this event's callbacks from the moment it is yielded.
+        if event.callbacks is not None and event not in fired:
+            fired[event] = 0
+            event.callbacks.append(lambda ev: fired.__setitem__(ev, fired[ev] + 1))
+        return event
+
+    def body(steps, raises):
+        for step in steps:
+            kind = step[0]
+            try:
+                if kind == "sleep":
+                    yield watched(env.timeout(step[1]))
+                elif kind == "wait":
+                    yield watched(shared[step[1]])
+                elif kind == "trigger":
+                    event = shared[step[1]]
+                    if not event.triggered:
+                        event.succeed(step[1]) if step[2] else event.fail(Boom())
+                else:
+                    parts = [shared[i] for i in step[1]] + [env.timeout(step[2])]
+                    compose = env.all_of if kind == "all" else env.any_of
+                    yield watched(compose(parts))
+            except Boom:
+                pass
+        if raises:
+            raise Boom()
+
+    def watch(event):
+        try:
+            yield event
+        except Boom:
+            pass
+
+    processes = [env.process(body(steps, raises)) for steps, raises in graph]
+    watchers = [env.process(watch(event)) for event in shared + processes]
+    env.run()
+    return env, processes + watchers, fired
+
+
+@given(_graph)
+@settings(max_examples=150, deadline=None)
+def test_no_event_runs_its_callbacks_twice(graph):
+    """Property: every event is dispatched, and its callbacks run, at most once."""
+    env, _, fired = _run_graph(graph)
+    assert all(count == 1 for count in env.dispatched.values())
+    assert all(count <= 1 for count in fired.values())
+    # A processed event was dispatched, and one that was never triggered
+    # was not.
+    for event, count in fired.items():
+        assert count == (1 if event.processed else 0)
+        assert event.triggered or event not in env.dispatched
+
+
+@given(_graph)
+@settings(max_examples=150, deadline=None)
+def test_drained_run_leaves_no_process_runnable(graph):
+    """Property: once ``run()`` drains, every process has finished, failed,
+    or is parked on an event that never triggered."""
+    _, processes, _ = _run_graph(graph)
+    for process in processes:
+        if process.triggered:
+            assert process.processed
+            assert process.ok or isinstance(process.value, Boom)
+        else:
+            assert process.target is not None
+            assert not process.target.triggered

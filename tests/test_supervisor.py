@@ -10,7 +10,6 @@ import os
 
 import pytest
 
-from repro.bench.runner import clear_cache
 from repro.campaign import (
     CampaignJournal,
     ChaosSchedule,
@@ -30,12 +29,7 @@ from repro.errors import ConfigurationError
 JACOBI_SMALL = {"n": 64, "iterations": 2}
 
 
-@pytest.fixture(autouse=True)
-def _fresh_caches(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
-    clear_cache()
-    yield
-    clear_cache()
+pytestmark = pytest.mark.usefixtures("fresh_store")
 
 
 def _specs(nodes=(2, 3)):
@@ -230,7 +224,6 @@ def test_resume_replays_journal_and_reruns_only_undecided(tmp_path):
     )
     store.clear()
     assert journal.exists()  # journals survive a store clear
-    clear_cache()
     resumed = run_campaign(specs, store=store, resume=True)
     assert resumed.resumed == 2
     assert resumed.cache_hits == 0 and resumed.cache_misses == 2
@@ -292,7 +285,6 @@ def test_campaign_reruns_corrupted_entry(tmp_path):
     specs = _specs()
     cold = run_campaign(specs, store=store)
     chaos = ChaosSchedule(corrupt=(specs[0].digest,))
-    clear_cache()
     warm = run_campaign(specs, store=store, chaos=chaos)
     assert warm.store_repairs == 1
     assert warm.cache_hits == 1 and warm.cache_misses == 1
@@ -369,7 +361,6 @@ def test_acceptance_crash_hang_poison_and_corruption(tmp_path):
         corrupt=(seeded.digest,),
         hang_seconds=30.0,
     )
-    clear_cache()
     result = run_campaign(specs, jobs=2, store=store, retries=2,
                           task_timeout=3.0, chaos=chaos)
     assert result.store_repairs == 1  # the seeded entry was vandalized
@@ -386,7 +377,6 @@ def test_acceptance_crash_hang_poison_and_corruption(tmp_path):
 
     # And once the poison stops being poisonous, --resume keeps the
     # journaled verdicts; a fresh campaign (no resume) heals the row.
-    clear_cache()
     healed = run_campaign(specs, jobs=1, store=store)
     assert format_campaign_table(healed) == format_campaign_table(clean)
     assert healed.cache_hits == 3 and healed.cache_misses == 1

@@ -18,7 +18,7 @@ import math
 
 import pytest
 
-from repro.bench.runner import clear_cache, run_workload
+from repro.bench.runner import run_workload
 from repro.cli import build_parser, main
 from repro.cluster import Cluster
 from repro.cluster.cluster import tx1_cluster_spec
@@ -551,7 +551,6 @@ class TestTracerBridge:
 @pytest.fixture(scope="module")
 def traced_run():
     """One telemetry-enabled + traced cloverleaf run shared by the module."""
-    clear_cache()
     telemetry = Telemetry(sample_interval=0.001)
     run = run_workload(
         "cloverleaf", nodes=4, network="10G", steps=2,

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.bench.runner import run_workload
+from repro.campaign import RunSpec
+from repro.campaign.serialize import run_to_payload
 from repro.cluster import Cluster
 from repro.cluster.cluster import (
     gtx980_cluster_spec,
@@ -263,6 +266,23 @@ def test_gpu_iterative_workload_on_gpu_less_node_names_the_missing_gpu(name):
     cluster = Cluster(thunderx_cluster_spec())
     with pytest.raises(ConfigurationError, match="no GPU"):
         gpgpu_workload(name).run_on(cluster)
+
+
+def test_memory_model_canonical_string_rebuilds_the_enum_run():
+    small = {"nodes": 2, "n": 64, "iterations": 2}
+    by_name = run_workload("jacobi", memory_model="zero-copy", use_cache=False, **small)
+    by_enum = run_workload(
+        "jacobi", memory_model=MemoryModel.ZERO_COPY, use_cache=False, **small
+    )
+    assert by_name.workload.memory_model is MemoryModel.ZERO_COPY
+    assert run_to_payload(by_name) == run_to_payload(by_enum)
+    assert (
+        RunSpec.normalize("jacobi", memory_model="zero-copy", **small).digest
+        == RunSpec.normalize("jacobi", memory_model=MemoryModel.ZERO_COPY, **small).digest
+    )
+    # Rejected while normalizing the request, before anything is simulated.
+    with pytest.raises(ConfigurationError, match="host-device, zero-copy, unified"):
+        RunSpec.normalize("jacobi", memory_model="bogus", **small)
 
 
 def test_ft_is_network_hungry():
