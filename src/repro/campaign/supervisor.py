@@ -249,29 +249,40 @@ def record_from_journal(spec: RunSpec, entry: dict[str, Any]) -> SpecRecord:
 
 
 def _campaign_worker(task: dict[str, Any]) -> dict[str, Any]:
-    """Pool entry point: run (or warm-load) one spec in a worker process."""
+    """Pool entry point: run (or warm-load) one spec in a worker process.
+
+    A spec's error comes back as ``"error"`` beside the worker's pid rather
+    than raised, so the supervisor knows which worker ran the attempt.
+    """
     from repro.campaign.runner import execute_spec, summarize_payload
 
     spec = RunSpec.from_dict(task["spec"])
-    chaos = task.get("chaos")
-    if chaos is not None:
-        apply_chaos(
-            ChaosSchedule.from_dict(chaos), spec.digest,
-            task.get("attempt", 0), in_worker=True,
-        )
-    # Worker-side busy time, measured only when the campaign carries a
-    # host recorder (the read stays inside the Stopwatch instance).
-    stopwatch = Stopwatch() if task.get("host") else None
-    root = task["root"]
-    store = ResultStore(root) if root is not None else None
-    cached = False
-    if store is not None:
-        payload = store.get("run", spec.digest, spec.fingerprint)
-        if payload is not None:
-            cached = True
-            row = summarize_payload(payload)
-    if not cached:
-        row = execute_spec(spec, store)
+    try:
+        chaos = task.get("chaos")
+        if chaos is not None:
+            apply_chaos(
+                ChaosSchedule.from_dict(chaos), spec.digest,
+                task.get("attempt", 0), in_worker=True,
+            )
+        # Worker-side busy time, measured only when the campaign carries a
+        # host recorder (the read stays inside the Stopwatch instance).
+        stopwatch = Stopwatch() if task.get("host") else None
+        root = task["root"]
+        store = ResultStore(root) if root is not None else None
+        cached = False
+        if store is not None:
+            payload = store.get("run", spec.digest, spec.fingerprint)
+            if payload is not None:
+                cached = True
+                row = summarize_payload(payload)
+        if not cached:
+            row = execute_spec(spec, store)
+    except Exception as exc:  # deterministic sim errors + chaos
+        return {
+            "digest": spec.digest,
+            "pid": os.getpid(),
+            "error": f"{type(exc).__name__}: {exc}",
+        }
     return {
         "digest": spec.digest,
         "row": row,
@@ -394,6 +405,7 @@ class CampaignSupervisor:
             attempt = self._attempts(spec.digest)
             if self.host is not None:
                 self.host.spec_submitted(spec.digest, spec.label)
+            self.pids.add(os.getpid())
             try:
                 if self.chaos is not None:
                     apply_chaos(
@@ -404,7 +416,6 @@ class CampaignSupervisor:
                 if self._failed(spec, f"{type(exc).__name__}: {exc}", False):
                     return
             else:
-                self.pids.add(os.getpid())
                 if self.host is not None:
                     self.host.spec_done(spec.digest, os.getpid())
                 self._succeeded(spec, row, cached=False)
@@ -420,6 +431,19 @@ class CampaignSupervisor:
             "chaos": self.chaos.to_dict() if self.chaos is not None else None,
             "host": self.host is not None,
         }
+
+    def _worker_outcome(self, spec: RunSpec, outcome: dict[str, Any]) -> bool:
+        """Book one attempt a pool worker reported; True to rerun the spec."""
+        self.pids.add(outcome["pid"])
+        error = outcome.get("error")
+        if error is not None:
+            return not self._failed(spec, error, False)
+        if self.host is not None:
+            self.host.spec_done(
+                spec.digest, outcome["pid"], outcome.get("host_wall"),
+            )
+        self._succeeded(spec, outcome["row"], outcome["cached"])
+        return False
 
     def _terminate_pool(self, pool: ProcessPoolExecutor) -> None:
         """Tear a pool down without waiting on its (possibly hung) tasks."""
@@ -506,19 +530,14 @@ class CampaignSupervisor:
                     except BrokenProcessPool:
                         broken = True
                         queue.append(spec)
-                    except Exception as exc:  # raised inside the worker
+                    except Exception as exc:  # e.g. an unpicklable result
                         if not self._failed(
                             spec, f"{type(exc).__name__}: {exc}", False
                         ):
                             queue.append(spec)
                     else:
-                        self.pids.add(outcome["pid"])
-                        if self.host is not None:
-                            self.host.spec_done(
-                                spec.digest, outcome["pid"],
-                                outcome.get("host_wall"),
-                            )
-                        self._succeeded(spec, outcome["row"], outcome["cached"])
+                        if self._worker_outcome(spec, outcome):
+                            queue.append(spec)
                 if broken:
                     # The pool is gone and the culprit is anonymous: every
                     # still-in-flight spec goes back on the queue.  One
@@ -594,13 +613,8 @@ class CampaignSupervisor:
                     ):
                         pending.append(spec)
                 else:
-                    self.pids.add(outcome["pid"])
-                    if self.host is not None:
-                        self.host.spec_done(
-                            spec.digest, outcome["pid"],
-                            outcome.get("host_wall"),
-                        )
-                    self._succeeded(spec, outcome["row"], outcome["cached"])
+                    if self._worker_outcome(spec, outcome):
+                        pending.append(spec)
 
     def _handle_hang(
         self,

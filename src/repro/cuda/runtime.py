@@ -94,9 +94,11 @@ class CudaContext:
 
     def _wire_instruments(self) -> None:
         tm = self._telemetry
+        # labels(): the unlabelled instruments' one series, bound once; the
+        # per-kind copy counters bind on first use (_count_copy).
         self._kernels_counter = tm.counter(
             "cuda_kernels_total", "kernel launches completed",
-        )
+        ).labels()
         self._copies_counter = tm.counter(
             "cuda_copies_total", "explicit copies and UM migrations",
             labelnames=("kind",),
@@ -108,15 +110,29 @@ class CudaContext:
         self._l2_bytes_counter = tm.counter(
             "cuda_l2_bytes_total", "kernel L2-level request traffic",
             unit="bytes",
-        )
+        ).labels()
         self._kernel_seconds_histogram = tm.histogram(
             "cuda_kernel_seconds", "on-engine kernel execution time",
             unit="seconds",
-        )
+        ).labels()
         self._copy_bytes_histogram = tm.histogram(
             "cuda_copy_bytes", "size of individual copies",
             unit="bytes", buckets=SIZE_BUCKETS,
-        )
+        ).labels()
+        #: kind -> (copies, bytes) counter children, bound on first use.
+        self._copy_children: dict[str, tuple] = {}
+
+    def _count_copy(self, kind: str, size: float) -> None:
+        children = self._copy_children.get(kind)
+        if children is None:
+            children = self._copy_children[kind] = (
+                self._copies_counter.labels(kind=kind),
+                self._copy_bytes_counter.labels(kind=kind),
+            )
+        copies, copied_bytes = children
+        copies.inc()
+        copied_bytes.inc(size)
+        self._copy_bytes_histogram.observe(size)
 
     # -- allocation -------------------------------------------------------------
 
@@ -194,9 +210,7 @@ class CudaContext:
                 yield req
                 yield self.env.timeout(self._copy_seconds(size))
         self.node.dram.record_copy_traffic(size)
-        self._copies_counter.inc(kind=kind)
-        self._copy_bytes_counter.inc(size, kind=kind)
-        self._copy_bytes_histogram.observe(size)
+        self._count_copy(kind, size)
         self.profiler.record_copy(CopyRecord(kind, start, self.env.now, size))
 
     def migrate(self, buf: Buffer, nbytes: float | None = None):
@@ -212,9 +226,7 @@ class CudaContext:
                 yield req
                 yield self.env.timeout(self.migration_overhead + self._copy_seconds(size))
         self.node.dram.record_copy_traffic(size)
-        self._copies_counter.inc(kind="migration")
-        self._copy_bytes_counter.inc(size, kind="migration")
-        self._copy_bytes_histogram.observe(size)
+        self._count_copy("migration", size)
         self.profiler.record_copy(CopyRecord("migration", start, self.env.now, size))
 
     # -- kernels -------------------------------------------------------------------

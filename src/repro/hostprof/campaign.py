@@ -16,10 +16,17 @@ byte-identical with or without one attached.
 
 from __future__ import annotations
 
-import json
-from typing import IO, Any
+from typing import IO, TYPE_CHECKING, Any
 
 from repro.hostprof.clock import HostClock, read_clock
+
+if TYPE_CHECKING:  # pragma: no cover - keeps the import dependency-light
+    from repro.telemetry.sink import Telemetry
+
+#: The ``otherData`` header of a worker-lane trace: host clock, not simulated.
+HOST_TIMEBASE: dict[str, str] = {
+    "generator": "repro.hostprof", "timebase": "host-monotonic",
+}
 
 
 class CampaignHostRecorder:
@@ -128,15 +135,8 @@ class CampaignHostRecorder:
             busy.set(seconds, worker=f"worker{lane}")
         lanes.set(len(self.worker_lanes))
 
-    def to_trace_document(self) -> dict[str, Any]:
-        """Chrome trace-event JSON: one lane per worker, host timebase.
-
-        Reuses :func:`repro.telemetry.exporters.to_chrome_trace` by
-        staging the busy intervals on a throwaway (unbound) sink, then
-        re-stamps the header for the host clock domain so nobody mistakes
-        the lanes for simulated time.
-        """
-        from repro.telemetry.exporters import to_chrome_trace
+    def _lanes(self) -> "Telemetry":
+        """The busy intervals staged on a throwaway (unbound) sink."""
         from repro.telemetry.sink import Telemetry
 
         staging = Telemetry(sample_interval=0.0)
@@ -150,16 +150,23 @@ class CampaignHostRecorder:
                 start, finished,
                 queue_wait_seconds=record["queue_wait_seconds"],
             )
-        document = to_chrome_trace(staging)
-        document["otherData"] = {
-            "generator": "repro.hostprof",
-            "timebase": "host-monotonic",
-        }
-        return document
+        return staging
+
+    def to_trace_document(self) -> dict[str, Any]:
+        """Chrome trace-event JSON: one lane per worker, host timebase.
+
+        Reuses :func:`repro.telemetry.exporters.to_chrome_trace` with a
+        host-clock ``otherData`` header, so nobody mistakes the lanes for
+        simulated time.
+        """
+        from repro.telemetry.exporters import to_chrome_trace
+
+        return to_chrome_trace(self._lanes(), HOST_TIMEBASE)
 
 
 def write_host_trace(recorder: CampaignHostRecorder, stream: IO[str]) -> None:
-    """Serialize the recorder's worker-lane trace byte-stably."""
-    json.dump(recorder.to_trace_document(), stream,
-              sort_keys=True, separators=(",", ":"))
+    """Stream the recorder's worker-lane trace byte-stably, newline-ended."""
+    from repro.telemetry.exporters import write_chrome_trace
+
+    write_chrome_trace(recorder._lanes(), stream, HOST_TIMEBASE)
     stream.write("\n")

@@ -176,22 +176,27 @@ class CommWorld:
             "mpi_bytes_total", "wire bytes moved by point-to-point traffic",
             unit="bytes", labelnames=("kind",),
         )
+        # labels(): every series the hot paths write, bound once here.
         self._retries_counter = tm.counter(
             "mpi_retries_total", "resends after a lost payload",
-        )
+        ).labels()
         self._latency_histogram = tm.histogram(
             "mpi_message_latency_seconds",
             "send-call to matched-receive latency", unit="seconds",
-        )
+        ).labels()
         self._size_histogram = tm.histogram(
             "mpi_message_bytes", "wire size of delivered messages",
             unit="bytes", buckets=SIZE_BUCKETS,
-        )
+        ).labels()
+        self._sent_messages = self._messages_counter.labels(kind="send")
+        self._sent_bytes = self._bytes_counter.labels(kind="send")
+        self._received_messages = self._messages_counter.labels(kind="recv")
+        self._received_bytes = self._bytes_counter.labels(kind="recv")
 
     def _record_delivery(self, message: Message) -> None:
         """Latency/size accounting when a message reaches its receiver."""
-        self._messages_counter.inc(kind="recv")
-        self._bytes_counter.inc(message.nbytes, kind="recv")
+        self._received_messages.inc()
+        self._received_bytes.inc(message.nbytes)
         self._latency_histogram.observe(self.env.now - message.sent_at)
         self._size_histogram.observe(message.nbytes)
 
@@ -334,8 +339,8 @@ class Communicator:
         stats.bytes_sent += wire_bytes
         stats.messages_sent += 1
         stats.comm_seconds += env.now - start
-        world._messages_counter.inc(kind="send")
-        world._bytes_counter.inc(wire_bytes, kind="send")
+        world._sent_messages.inc()
+        world._sent_bytes.inc(wire_bytes)
         if world.tracer is not None:
             world.tracer.record_comm(self.rank, dest, wire_bytes, start, env.now, tag)
 

@@ -116,34 +116,35 @@ class Fabric:
 
     def _wire_instruments(self) -> None:
         tm = self._telemetry
+        # labels(): each instrument's one series, bound once for transfer().
         self._bytes_counter = tm.counter(
             "fabric_bytes_total", "payload bytes delivered end-to-end",
             unit="bytes",
-        )
+        ).labels()
         self._transfers_counter = tm.counter(
             "fabric_transfers_total", "completed end-to-end transfers",
-        )
+        ).labels()
         self._drops_counter = tm.counter(
             "fabric_dropped_transfers_total",
             "transfers whose payload was lost on the wire",
-        )
+        ).labels()
         self._seconds_histogram = tm.histogram(
             "fabric_transfer_seconds", "end-to-end transfer duration",
             unit="seconds",
-        )
+        ).labels()
         self._size_histogram = tm.histogram(
             "fabric_transfer_bytes", "wire size of completed transfers",
             unit="bytes", buckets=SIZE_BUCKETS,
-        )
+        ).labels()
         self._loopback_bytes_counter = tm.counter(
             "fabric_loopback_bytes_total",
             "payload bytes short-circuited through node-local DRAM",
             unit="bytes",
-        )
+        ).labels()
         self._loopback_transfers_counter = tm.counter(
             "fabric_loopback_transfers_total",
             "completed intra-node (loopback) transfers",
-        )
+        ).labels()
 
     def _endpoint(self, node_id: int) -> Node:
         try:

@@ -376,14 +376,15 @@ class Environment:
             self._procs_counter = None
             return
         telemetry.bind_env(self)
+        # labels(): the counters' one series, bound once for the hot loops.
         self._events_counter = telemetry.counter(
             "sim_events_processed_total",
             "events executed by the discrete-event kernel",
-        )
+        ).labels()
         self._procs_counter = telemetry.counter(
             "sim_processes_started_total",
             "generator processes spawned on this environment",
-        )
+        ).labels()
 
     @property
     def now(self) -> float:

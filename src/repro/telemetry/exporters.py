@@ -15,7 +15,8 @@ samples ``C`` counter events that render as filled line charts.
 from __future__ import annotations
 
 import json
-from typing import IO, Any
+from itertools import islice
+from typing import IO, Any, Iterator
 
 from repro.telemetry.instruments import Counter, Gauge, Histogram, Registry
 from repro.telemetry.sink import Telemetry
@@ -26,25 +27,35 @@ from repro.units import to_us
 # ---------------------------------------------------------------------------
 
 
-def to_chrome_trace(telemetry: Telemetry) -> dict[str, Any]:
-    """Build the Chrome trace-event document for *telemetry*.
+#: The ``otherData`` header of a simulated-time trace.
+SIMULATED_TIMEBASE: dict[str, str] = {
+    "generator": "repro.telemetry", "timebase": "simulated",
+}
+
+#: Events :func:`write_chrome_trace` encodes per C-encoder call: enough to
+#: amortize the call, few enough that a batch's dicts and text stay in the
+#: CPU cache (on the cg 4x4 trace, 4096-event batches encode ~10% slower).
+CHROME_BATCH_EVENTS = 512
+
+
+def _chrome_events(telemetry: Telemetry) -> Iterator[dict[str, Any]]:
+    """Yield the trace events for *telemetry*, in document order.
 
     Tracks map to trace "processes" (sorted by name for stable pids);
     every event of a track runs on its thread 0.
     """
     tracks = telemetry.tracks()
     pids = {track: index for index, track in enumerate(tracks)}
-    events: list[dict[str, Any]] = []
     for track in tracks:
         pid = pids[track]
-        events.append({
+        yield {
             "ph": "M", "name": "process_name", "pid": pid, "tid": 0,
             "args": {"name": track},
-        })
-        events.append({
+        }
+        yield {
             "ph": "M", "name": "process_sort_index", "pid": pid, "tid": 0,
             "args": {"sort_index": pid},
-        })
+        }
 
     async_id = 0
     for span in telemetry.spans:
@@ -52,46 +63,78 @@ def to_chrome_trace(telemetry: Telemetry) -> dict[str, Any]:
         cat = span.category or "span"
         args = dict(span.args)
         if span.kind == "instant":
-            events.append({
+            yield {
                 "ph": "i", "name": span.name, "cat": cat, "pid": pid,
                 "tid": 0, "ts": to_us(span.start), "s": "p", "args": args,
-            })
+            }
         elif span.kind == "async":
             async_id += 1
-            head = {
+            yield {
                 "ph": "b", "name": span.name, "cat": cat, "id": async_id,
                 "pid": pid, "tid": 0, "ts": to_us(span.start), "args": args,
             }
-            tail = {
+            yield {
                 "ph": "e", "name": span.name, "cat": cat, "id": async_id,
                 "pid": pid, "tid": 0, "ts": to_us(span.end), "args": {},
             }
-            events.append(head)
-            events.append(tail)
         else:
-            events.append({
+            yield {
                 "ph": "X", "name": span.name, "cat": cat, "pid": pid,
                 "tid": 0, "ts": to_us(span.start),
                 "dur": to_us(span.seconds), "args": args,
-            })
+            }
 
     for point in telemetry.samples:
-        events.append({
+        yield {
             "ph": "C", "name": point.name, "pid": pids[point.track], "tid": 0,
             "ts": to_us(point.time), "args": {point.name: point.value},
-        })
-
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {"generator": "repro.telemetry", "timebase": "simulated"},
-    }
+        }
 
 
-def write_chrome_trace(telemetry: Telemetry, stream: IO[str]) -> None:
-    """Serialize the Chrome trace for *telemetry* to a text *stream*."""
-    json.dump(to_chrome_trace(telemetry), stream, sort_keys=True,
-              separators=(",", ":"))
+def _frame(other_data: dict[str, str] | None) -> dict[str, Any]:
+    """The document's fields besides ``traceEvents``."""
+    if other_data is None:
+        other_data = SIMULATED_TIMEBASE
+    return {"displayTimeUnit": "ms", "otherData": dict(other_data)}
+
+
+def to_chrome_trace(
+    telemetry: Telemetry, other_data: dict[str, str] | None = None
+) -> dict[str, Any]:
+    """Build the whole Chrome trace-event document for *telemetry*.
+
+    *other_data* is the document's ``otherData`` header, naming the
+    generator and the clock domain of the timestamps; it defaults to
+    :data:`SIMULATED_TIMEBASE`.
+    """
+    return {"traceEvents": list(_chrome_events(telemetry)), **_frame(other_data)}
+
+
+def write_chrome_trace(
+    telemetry: Telemetry,
+    stream: IO[str],
+    other_data: dict[str, str] | None = None,
+) -> None:
+    """Stream the Chrome trace for *telemetry* to a text *stream*.
+
+    Writes the bytes of ``json.dumps(to_chrome_trace(telemetry, other_data),
+    sort_keys=True, separators=(",", ":"))`` without building the event
+    list: events are encoded in batches of :data:`CHROME_BATCH_EVENTS` by
+    the C encoder, which ``json.dump`` never uses.
+    """
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    # traceEvents sorts after displayTimeUnit and otherData, so its empty
+    # list is the last "[]" of the encoded frame.
+    head, _, tail = encode(
+        {"traceEvents": [], **_frame(other_data)}
+    ).rpartition("[]")
+    stream.write(head + "[")
+    events = _chrome_events(telemetry)
+    separator = ""
+    while batch := list(islice(events, CHROME_BATCH_EVENTS)):
+        stream.write(separator + encode(batch)[1:-1])
+        separator = ","
+    stream.write("]" + tail)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,8 @@ def _label_key(
     labelnames: tuple[str, ...], labels: dict[str, object]
 ) -> tuple[str, ...]:
     """The series key for *labels*, validated against *labelnames*."""
+    if not labelnames and not labels:
+        return ()
     if set(labels) != set(labelnames):
         raise TelemetryError(
             f"labels {sorted(labels)} do not match declared label names "
@@ -89,12 +91,11 @@ class Counter(Instrument):
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
         """Add *amount* (must be >= 0) to the series selected by *labels*."""
-        if amount < 0:
-            raise TelemetryError(
-                f"counter {self.name} cannot decrease (inc by {amount})"
-            )
-        key = _label_key(self.labelnames, labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
+        self.labels(**labels).inc(amount)
+
+    def labels(self, **labels: object) -> "BoundCounter":
+        """The series selected by *labels*, validated once for hot call sites."""
+        return BoundCounter(self, _label_key(self.labelnames, labels))
 
     def value(self, **labels: object) -> float:
         """Current total of one series (0.0 if never incremented)."""
@@ -115,12 +116,15 @@ class Gauge(Instrument):
 
     def set(self, value: float, **labels: object) -> None:
         """Set the series selected by *labels* to *value*."""
-        self._values[_label_key(self.labelnames, labels)] = float(value)
+        self.labels(**labels).set(value)
 
     def add(self, delta: float, **labels: object) -> None:
         """Adjust the series by *delta* (gauges may go up and down)."""
-        key = _label_key(self.labelnames, labels)
-        self._values[key] = self._values.get(key, 0.0) + delta
+        self.labels(**labels).add(delta)
+
+    def labels(self, **labels: object) -> "BoundGauge":
+        """The series selected by *labels*, validated once for hot call sites."""
+        return BoundGauge(self, _label_key(self.labelnames, labels))
 
     def value(self, **labels: object) -> float:
         """Current level of one series (0.0 if never set)."""
@@ -171,13 +175,11 @@ class Histogram(Instrument):
 
     def observe(self, value: float, **labels: object) -> None:
         """Record one observation into the series selected by *labels*."""
-        key = _label_key(self.labelnames, labels)
-        series = self._series.get(key)
-        if series is None:
-            series = self._series[key] = HistogramSeries(len(self.buckets))
-        series.bucket_counts[bisect_left(self.buckets, value)] += 1
-        series.total += value
-        series.count += 1
+        self.labels(**labels).observe(value)
+
+    def labels(self, **labels: object) -> "BoundHistogram":
+        """The series selected by *labels*, validated once for hot call sites."""
+        return BoundHistogram(self, _label_key(self.labelnames, labels))
 
     def snapshot(self, **labels: object) -> HistogramSeries:
         """The (live) series for *labels*; empty if never observed."""
@@ -186,6 +188,76 @@ class Histogram(Instrument):
 
     def series(self) -> Iterator[tuple[tuple[str, ...], HistogramSeries]]:
         yield from self._series.items()
+
+
+# ---------------------------------------------------------------------------
+# Bound children: one pre-validated series of a labelled instrument
+# ---------------------------------------------------------------------------
+#
+# ``instrument.labels(kind="send")`` checks the label names once and returns
+# a child that writes straight into the parent's series dict, so a hot call
+# site pays no per-call label validation (the Prometheus client idiom).  A
+# child creates its series on its first write, never on binding: an unused
+# child leaves the exports unchanged.  The children hold the only write
+# code; the keyword forms (``counter.inc(kind="send")``) bind a child per
+# call.
+
+
+class BoundCounter:
+    """One series of a :class:`Counter`, selected by ``Counter.labels``."""
+
+    __slots__ = ("_name", "_values", "_key")
+
+    def __init__(self, counter: Counter, key: tuple[str, ...]) -> None:
+        self._name = counter.name
+        self._values = counter._values
+        self._key = key
+
+    def inc(self, amount: float = 1.0) -> None:
+        """Add *amount* (must be >= 0) to the bound series."""
+        if amount < 0:
+            raise TelemetryError(
+                f"counter {self._name} cannot decrease (inc by {amount})"
+            )
+        self._values[self._key] = self._values.get(self._key, 0.0) + amount
+
+
+class BoundGauge:
+    """One series of a :class:`Gauge`, selected by ``Gauge.labels``."""
+
+    __slots__ = ("_values", "_key")
+
+    def __init__(self, gauge: Gauge, key: tuple[str, ...]) -> None:
+        self._values = gauge._values
+        self._key = key
+
+    def set(self, value: float) -> None:
+        """Set the bound series to *value*."""
+        self._values[self._key] = float(value)
+
+    def add(self, delta: float) -> None:
+        """Adjust the bound series by *delta*."""
+        self._values[self._key] = self._values.get(self._key, 0.0) + delta
+
+
+class BoundHistogram:
+    """One series of a :class:`Histogram`, selected by ``Histogram.labels``."""
+
+    __slots__ = ("_series", "_buckets", "_key")
+
+    def __init__(self, histogram: Histogram, key: tuple[str, ...]) -> None:
+        self._series = histogram._series
+        self._buckets = histogram.buckets
+        self._key = key
+
+    def observe(self, value: float) -> None:
+        """Record one observation into the bound series."""
+        series = self._series.get(self._key)
+        if series is None:
+            series = self._series[self._key] = HistogramSeries(len(self._buckets))
+        series.bucket_counts[bisect_left(self._buckets, value)] += 1
+        series.total += value
+        series.count += 1
 
 
 class Registry:

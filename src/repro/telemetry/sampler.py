@@ -58,26 +58,36 @@ class UtilizationSampler:
         self._prev_fabric_bytes = 0.0
         env = cluster.env
         telemetry.bind_env(env)
-        self._nic_gauge = telemetry.gauge(
+        nic_gauge = telemetry.gauge(
             "node_nic_utilization", "NIC utilization over the last sample interval",
             unit="ratio", labelnames=("node",),
         )
-        self._cpu_gauge = telemetry.gauge(
+        cpu_gauge = telemetry.gauge(
             "node_cpu_occupancy", "busy core-seconds per core over the interval",
             unit="ratio", labelnames=("node",),
         )
-        self._gpu_gauge = telemetry.gauge(
+        gpu_gauge = telemetry.gauge(
             "node_gpu_occupancy", "GPU busy fraction over the interval",
             unit="ratio", labelnames=("node",),
         )
+        #: node id -> its (track, NIC, CPU, GPU gauge children).
+        self._node_series = {
+            node.node_id: (
+                f"node{node.node_id}",
+                nic_gauge.labels(node=node.node_id),
+                cpu_gauge.labels(node=node.node_id),
+                gpu_gauge.labels(node=node.node_id),
+            )
+            for node in cluster.nodes
+        }
         self._link_gauge = telemetry.gauge(
             "fabric_link_utilization",
             "aggregate traffic over bisection bandwidth for the interval",
             unit="ratio",
-        )
+        ).labels()
         self._flows_gauge = telemetry.gauge(
             "fabric_active_flows", "concurrent flows at the sample instant",
-        )
+        ).labels()
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -128,22 +138,21 @@ class UtilizationSampler:
         self.samples_taken += 1
         self._last_sample_time = float(self.cluster.env.now)
         for node in self.cluster.nodes:
-            track = f"node{node.node_id}"
-            label = str(node.node_id)
+            track, nic_gauge, cpu_gauge, gpu_gauge = self._node_series[node.node_id]
 
             moved = node.network_bytes_sent + node.network_bytes_received
             delta = moved - self._prev_nic.get(node.node_id, 0.0)
             self._prev_nic[node.node_id] = moved
             nic_util = delta / (interval * node.nic.achievable_rate)
             tm.sample(track, "nic_utilization", nic_util)
-            self._nic_gauge.set(nic_util, node=label)
+            nic_gauge.set(nic_util)
 
             busy = node.power.cpu_busy_core_seconds
             delta = busy - self._prev_cpu.get(node.node_id, 0.0)
             self._prev_cpu[node.node_id] = busy
             cpu_occ = delta / (interval * node.spec.core_count)
             tm.sample(track, "cpu_occupancy", cpu_occ)
-            self._cpu_gauge.set(cpu_occ, node=label)
+            cpu_gauge.set(cpu_occ)
 
             if node.has_gpu:
                 busy = node.power.gpu_busy_seconds
@@ -151,7 +160,7 @@ class UtilizationSampler:
                 self._prev_gpu[node.node_id] = busy
                 gpu_occ = delta / interval
                 tm.sample(track, "gpu_occupancy", gpu_occ)
-                self._gpu_gauge.set(gpu_occ, node=label)
+                gpu_gauge.set(gpu_occ)
 
         fabric = self.cluster.fabric
         delta = fabric.total_bytes - self._prev_fabric_bytes

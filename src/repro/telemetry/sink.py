@@ -42,6 +42,17 @@ class SamplePoint:
         return f"<Sample {self.track}/{self.name} t={self.time:.6f} v={self.value}>"
 
 
+class _Unbound:
+    """The clock of a sink not yet bound to an environment: time stands at 0."""
+
+    __slots__ = ()
+    now = 0.0
+    host_profiler = None
+
+
+_UNBOUND = _Unbound()
+
+
 class Telemetry:
     """The recording sink: spans, instruments, and time-series samples.
 
@@ -60,7 +71,7 @@ class Telemetry:
         self.registry = Registry()
         self.spans: list[SpanRecord] = []
         self.samples: list[SamplePoint] = []
-        self._env: "Environment | None" = None
+        self._env: "Environment | _Unbound" = _UNBOUND
 
     # -- environment binding ---------------------------------------------------
 
@@ -70,16 +81,19 @@ class Telemetry:
         Rebinding to a different environment is rejected: a sink's timeline
         must have a single time axis.
         """
-        if self._env is not None and self._env is not env:
+        if self._env is not _UNBOUND and self._env is not env:
             raise TelemetryError("telemetry sink already bound to an environment")
         self._env = env
 
     @property
     def now(self) -> float:
         """Current simulated time (0.0 before the sink is bound)."""
-        return self._env.now if self._env is not None else 0.0
+        return self._env.now
 
     # -- spans -----------------------------------------------------------------
+
+    # Each factory below stores its fresh ``**args`` dict as the record's
+    # args (no copy) and reads the clock once.
 
     def span(self, track: str, name: str, category: str = "", **args: object) -> SpanHandle:
         """Open a *scoped* span (properly nested on its track)."""
@@ -87,18 +101,20 @@ class Telemetry:
         # over a run's lifetime; interning collapses them to one object each,
         # shrinking the span list's footprint and making the exporters'
         # dict lookups pointer-compare fast.
+        now = self._env.now
         return SpanHandle(
             self,
             SpanRecord(sys.intern(track), sys.intern(name), category,
-                       self.now, self.now, kind="scoped", args=dict(args)),
+                       now, now, "scoped", args),
         )
 
     def async_span(self, track: str, name: str, category: str = "", **args: object) -> SpanHandle:
         """Open an *async* span (may overlap others on its track)."""
+        now = self._env.now
         return SpanHandle(
             self,
             SpanRecord(sys.intern(track), sys.intern(name), category,
-                       self.now, self.now, kind="async", args=dict(args)),
+                       now, now, "async", args),
         )
 
     def record_span(
@@ -115,13 +131,13 @@ class Telemetry:
         if end < start:
             raise TelemetryError(f"span ends before it starts: {start} > {end}")
         self._finish(SpanRecord(sys.intern(track), sys.intern(name), category,
-                                start, end, kind=kind, args=dict(args)))
+                                start, end, kind, args))
 
     def instant(self, track: str, name: str, category: str = "", **args: object) -> None:
         """Record an instant marker at the current simulated time."""
-        now = self.now
+        now = self._env.now
         self._finish(SpanRecord(sys.intern(track), sys.intern(name), category,
-                                now, now, kind="instant", args=dict(args)))
+                                now, now, "instant", args))
 
     def _finish(self, record: SpanRecord) -> None:
         self.spans.append(record)
@@ -155,7 +171,8 @@ class Telemetry:
     def sample(self, track: str, name: str, value: float) -> None:
         """Append one time-series point at the current simulated time."""
         self.samples.append(
-            SamplePoint(sys.intern(track), sys.intern(name), self.now, float(value))
+            SamplePoint(sys.intern(track), sys.intern(name), self._env.now,
+                        float(value))
         )
         hp = getattr(self._env, "host_profiler", None)
         if hp is not None:
@@ -197,6 +214,10 @@ class _NullInstrument:
     def value(self, **labels: object) -> float:
         """Always 0.0."""
         return 0.0
+
+    def labels(self, **labels: object) -> "_NullInstrument":
+        """Itself: a bound null child is the same no-op."""
+        return self
 
 
 _NULL_INSTRUMENT = _NullInstrument()

@@ -61,7 +61,7 @@ class SpanHandle:
 
     def __exit__(self, exc_type, exc, _tb) -> None:
         record = self._record
-        record.end = self._sink.now
+        record.end = self._sink._env.now
         if exc is not None:
             record.error = True
             record.args["error"] = f"{type(exc).__name__}: {exc}"

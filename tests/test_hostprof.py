@@ -491,6 +491,41 @@ class TestCampaignHostRecorder:
         assert text.endswith("\n")
         assert json.loads(text)["otherData"]["timebase"] == "host-monotonic"
 
+    def test_write_host_trace_bytes_are_pinned(self):
+        # The streamed writer must keep the bytes the whole-document
+        # json.dump produced: header, key order, number format, newline.
+        clock = FakeClock()
+        recorder = CampaignHostRecorder(clock=clock)
+        recorder.spec_submitted("d1", "jacobi/tx1x2/10G")
+        recorder.spec_submitted("d2", "cg/tx1x4/1G")
+        clock.advance(1.5)
+        recorder.spec_done("d1", 4242, busy_seconds=1.25)
+        clock.advance(0.5)
+        recorder.spec_done("d2", 17)
+        stream = io.StringIO()
+        write_host_trace(recorder, stream)
+        assert stream.getvalue() == (
+            '{"displayTimeUnit":"ms","otherData":{"generator":"repro.hostprof",'
+            '"timebase":"host-monotonic"},"traceEvents":['
+            '{"args":{"name":"worker0"},"name":"process_name","ph":"M","pid":0,'
+            '"tid":0},'
+            '{"args":{"sort_index":0},"name":"process_sort_index","ph":"M",'
+            '"pid":0,"tid":0},'
+            '{"args":{"name":"worker1"},"name":"process_name","ph":"M","pid":1,'
+            '"tid":0},'
+            '{"args":{"sort_index":1},"name":"process_sort_index","ph":"M",'
+            '"pid":1,"tid":0},'
+            '{"args":{"queue_wait_seconds":0.25},"cat":"campaign",'
+            '"dur":1250000.0,"name":"jacobi/tx1x2/10G","ph":"X","pid":0,'
+            '"tid":0,"ts":250000.0},'
+            '{"args":{"queue_wait_seconds":0.0},"cat":"campaign",'
+            '"dur":2000000.0,"name":"cg/tx1x4/1G","ph":"X","pid":1,"tid":0,'
+            '"ts":0.0}]}\n'
+        )
+        assert stream.getvalue() == json.dumps(
+            recorder.to_trace_document(), sort_keys=True, separators=(",", ":")
+        ) + "\n"
+
 
 # ---------------------------------------------------------------------------
 # Sweep integration: --progress heartbeat, --host-trace, journal host field

@@ -169,6 +169,21 @@ def test_worker_crash_recovers_to_identical_table():
     assert result.lost_workers > 0 and result.pool_rebuilds > 0
 
 
+def test_workers_that_only_failed_still_count_as_used():
+    # Every spec is poisoned, so no worker ever succeeds; the workers did
+    # still run the attempts and must show up in ``workers_used``.
+    specs = _specs()
+    chaos = ChaosSchedule(fail={spec.digest: -1 for spec in specs})
+    result = run_campaign(specs, jobs=2, store=None, retries=0, chaos=chaos,
+                          sleep=lambda _: None)
+    assert not any(row.completed for row in result.rows)
+    assert all("ChaosInjectedError" in row.error for row in result.rows)
+    assert result.workers_used >= 1
+    serial = run_campaign(specs, store=None, retries=0, chaos=chaos,
+                          sleep=lambda _: None)
+    assert serial.workers_used == 1
+
+
 def test_hung_worker_culled_and_spec_retried():
     specs = _specs()
     clean = run_campaign(specs, store=None)

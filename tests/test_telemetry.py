@@ -39,6 +39,7 @@ from repro.telemetry import (
     to_prometheus_text,
     write_chrome_trace,
 )
+from repro.telemetry.exporters import CHROME_BATCH_EVENTS
 from repro.telemetry.spans import NULL_SPAN
 from repro.tracing import Tracer
 from repro.workloads import make_workload
@@ -162,6 +163,65 @@ class TestHistogram:
         assert all(b2 == b1 * 4.0 for b1, b2 in zip(SIZE_BUCKETS, SIZE_BUCKETS[1:]))
 
 
+class TestBoundChildren:
+    def test_bound_counter_writes_the_parent_series(self):
+        counter = Counter("messages_total", labelnames=("kind",))
+        send = counter.labels(kind="send")
+        send.inc(3)
+        send.inc()
+        assert counter.value(kind="send") == 4.0
+        assert counter.value(kind="recv") == 0.0
+
+    def test_binding_wrong_label_names_rejected(self):
+        counter = Counter("messages_total", labelnames=("kind",))
+        with pytest.raises(TelemetryError, match="do not match"):
+            counter.labels(direction="send")
+        with pytest.raises(TelemetryError, match="do not match"):
+            Gauge("level", labelnames=("node",)).labels()
+        with pytest.raises(TelemetryError, match="do not match"):
+            Histogram("latency").labels(node="0")
+
+    def test_bound_counter_rejects_negative_increment(self):
+        child = Counter("events_total", labelnames=("kind",)).labels(kind="a")
+        with pytest.raises(TelemetryError, match="cannot decrease"):
+            child.inc(-1.0)
+
+    def test_bound_gauge_and_histogram_write_the_parent_series(self):
+        gauge = Gauge("occupancy", labelnames=("node",))
+        child = gauge.labels(node=0)  # label values are stringified
+        child.set(0.5)
+        child.add(0.25)
+        assert gauge.value(node="0") == 0.75
+        histogram = Histogram("latency", labelnames=("kind",), buckets=(1.0,))
+        histogram.labels(kind="a").observe(0.5)
+        histogram.labels(kind="a").observe(5.0)
+        snapshot = histogram.snapshot(kind="a")
+        assert snapshot.bucket_counts == [1, 1]
+        assert snapshot.count == 2
+
+    def test_unused_child_leaves_the_export_unchanged(self):
+        registry = Registry()
+        counter = registry.counter("messages_total", labelnames=("kind",))
+        registry.gauge("occupancy", labelnames=("node",))
+        counter.inc(kind="recv")
+        before = to_prometheus_text(registry)
+        counter.labels(kind="send")
+        registry.get("occupancy").labels(node="0")
+        assert to_prometheus_text(registry) == before
+
+    def test_null_instrument_child_is_a_no_op(self):
+        child = NullTelemetry().counter("messages_total").labels(kind="x")
+        child.inc()
+        child.set(1.0)
+        child.observe(2.0)
+        assert child.value() == 0.0
+        assert child.labels(kind="y") is child
+
+    def test_unlabelled_instrument_still_rejects_stray_labels(self):
+        with pytest.raises(TelemetryError, match="do not match"):
+            Counter("events_total").inc(kind="x")
+
+
 class TestInstrumentIdentity:
     @pytest.mark.parametrize("bad", ["", "has space", "has-dash", "1leading"])
     def test_bad_names_rejected(self, bad):
@@ -240,6 +300,16 @@ class TestSpans:
         (record,) = telemetry.spans
         assert record.args == {"nbytes": 64, "rate": 1e9}
         assert record.kind == "async"
+
+    def test_set_reaches_records_of_spans_opened_without_args(self):
+        telemetry, _ = bound_sink()
+        with telemetry.span("rank0", "compute") as first:
+            first.set(flops=1)
+        with telemetry.span("rank0", "compute") as second:
+            second.set(flops=2)
+        assert [record.args for record in telemetry.spans] == [
+            {"flops": 1}, {"flops": 2},
+        ]
 
     def test_exception_flags_error_and_still_records(self):
         telemetry, env = bound_sink()
@@ -766,6 +836,62 @@ class TestChromeExporter:
         document = json.loads(path.read_text())
         assert document["displayTimeUnit"] == "ms"
         assert len(document["traceEvents"]) > 0
+
+
+def _dumped(telemetry) -> str:
+    return json.dumps(to_chrome_trace(telemetry), sort_keys=True,
+                      separators=(",", ":"))
+
+
+def _streamed(telemetry) -> str:
+    stream = io.StringIO()
+    write_chrome_trace(telemetry, stream)
+    return stream.getvalue()
+
+
+class TestStreamedChromeWriter:
+    """``write_chrome_trace`` writes exactly the bytes of the built document."""
+
+    def test_empty_sink(self):
+        telemetry = Telemetry(sample_interval=0)
+        assert _streamed(telemetry) == _dumped(telemetry)
+        assert json.loads(_streamed(telemetry))["traceEvents"] == []
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_one_batch_and_one_batch_plus_one(self, extra):
+        telemetry, env = bound_sink()
+        # One track: two metadata events, then one event per instant.
+        for index in range(CHROME_BATCH_EVENTS - 2 + extra):
+            env.now = index * 1e-3
+            telemetry.instant("job", "mark", "job", index=index)
+        assert len(to_chrome_trace(telemetry)["traceEvents"]) == (
+            CHROME_BATCH_EVENTS + extra
+        )
+        assert _streamed(telemetry) == _dumped(telemetry)
+
+    def test_other_data_header(self):
+        telemetry, _ = bound_sink()
+        telemetry.instant("job", "mark")
+        header = {"generator": "g", "timebase": "t"}
+        stream = io.StringIO()
+        write_chrome_trace(telemetry, stream, header)
+        assert stream.getvalue() == json.dumps(
+            to_chrome_trace(telemetry, header), sort_keys=True,
+            separators=(",", ":"),
+        )
+        assert json.loads(stream.getvalue())["otherData"] == header
+
+    def test_cg_run_with_every_phase(self):
+        telemetry = Telemetry()
+        run_workload("cg", nodes=4, network="10G", ranks_per_node=4,
+                     use_cache=False, telemetry=telemetry)
+        dumped = _dumped(telemetry)
+        phases = {event["ph"] for event in json.loads(dumped)["traceEvents"]}
+        assert phases == {"M", "X", "b", "e", "i", "C"}
+        assert len(to_chrome_trace(telemetry)["traceEvents"]) > (
+            CHROME_BATCH_EVENTS
+        )
+        assert _streamed(telemetry) == dumped
 
 
 class TestPrometheusExporter:
